@@ -18,49 +18,30 @@
 //! (`FOLDED_*.txt`, feed to flamegraph.pl / speedscope) and — for the
 //! `hostperf` sweep — *wall-clock* folded stacks of the simulator itself
 //! (`HOST_*.txt`).
+//!
+//! Unknown figure ids, unknown flags and a `--json`/`--trace` with no value
+//! print the usage line and exit with status 2.
 
-use hyperloop_bench::figures;
+use hyperloop_bench::figures::{self, FigureArgs};
 use hyperloop_bench::report::Report;
-use std::path::PathBuf;
+
+const USAGE: &str = "usage: figures [all | <id>...] [--quick] [--json <path>] [--trace <dir>]";
 
 fn main() {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let quick = args.iter().any(|a| a == "--quick");
-    let json_path: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--json")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let trace_dir: Option<PathBuf> = args
-        .iter()
-        .position(|a| a == "--trace")
-        .and_then(|i| args.get(i + 1))
-        .map(PathBuf::from);
-    let mut skip_next = false;
-    let wanted: Vec<&str> = args
-        .iter()
-        .filter(|a| {
-            if skip_next {
-                skip_next = false;
-                return false;
-            }
-            if *a == "--json" || *a == "--trace" {
-                skip_next = true;
-                return false;
-            }
-            !a.starts_with("--")
-        })
-        .map(|s| s.as_str())
-        .collect();
-    let all = wanted.is_empty() || wanted.contains(&"all");
-    let has = |name: &str| all || wanted.contains(&name);
+    let parsed = FigureArgs::parse(&args).unwrap_or_else(|e| {
+        eprintln!("figures: {e}\n{USAGE}");
+        std::process::exit(2);
+    });
+    let quick = parsed.quick;
+    let has = |name: &str| parsed.wants(name);
 
     let mut rep = Report::new("figures");
     rep.set_quick(quick);
-    if let Some(p) = &json_path {
+    if let Some(p) = &parsed.json {
         rep.set_json_path(p);
     }
-    if let Some(d) = &trace_dir {
+    if let Some(d) = &parsed.trace {
         rep.set_trace_dir(d);
     }
 
@@ -106,7 +87,7 @@ fn main() {
     if has("txnmix") {
         hyperloop_bench::txnmix::txnmix(&mut rep, quick);
     }
-    if has("ablations") || wanted.contains(&"ablations") {
+    if has("ablations") {
         hyperloop_bench::appbench::ablations(&mut rep, quick);
     }
     rep.finish().expect("write JSON report");

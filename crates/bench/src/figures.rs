@@ -5,6 +5,79 @@ use crate::micro::{
 };
 use crate::report::{latency_header, latency_row, ratio, us, Report, Scenario};
 use simcore::SimDuration;
+use std::path::PathBuf;
+
+/// Figure/table ids the `figures` binary accepts (plus `all`).
+pub const FIGURE_IDS: [&str; 14] = [
+    "fig2a",
+    "fig2b",
+    "fig8a",
+    "fig8b",
+    "table2",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "shardscale",
+    "migrate",
+    "hostperf",
+    "txnmix",
+    "ablations",
+];
+
+/// Parsed command line of the `figures` binary.
+#[derive(Debug, Default, PartialEq, Eq)]
+pub struct FigureArgs {
+    /// Requested figure ids; empty means all.
+    pub ids: Vec<String>,
+    /// Reduced op counts.
+    pub quick: bool,
+    /// `--json <path>`: where to write the machine-readable report.
+    pub json: Option<PathBuf>,
+    /// `--trace <dir>`: where to write per-scenario profiling artifacts.
+    pub trace: Option<PathBuf>,
+}
+
+impl FigureArgs {
+    /// Parses the arguments after the program name. Rejects unknown ids,
+    /// unknown flags, and a `--json`/`--trace` with no value (or with
+    /// another flag where the value should be).
+    ///
+    /// # Errors
+    ///
+    /// Returns a one-line description of the first bad argument.
+    pub fn parse(args: &[String]) -> Result<FigureArgs, String> {
+        let mut parsed = FigureArgs::default();
+        let mut it = args.iter();
+        while let Some(a) = it.next() {
+            match a.as_str() {
+                "--quick" => parsed.quick = true,
+                flag @ ("--json" | "--trace") => {
+                    let value = it
+                        .next()
+                        .filter(|v| !v.starts_with("--"))
+                        .ok_or_else(|| format!("{flag} needs a value"))?;
+                    let slot = if flag == "--json" {
+                        &mut parsed.json
+                    } else {
+                        &mut parsed.trace
+                    };
+                    *slot = Some(PathBuf::from(value));
+                }
+                flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+                id if id == "all" || FIGURE_IDS.contains(&id) => parsed.ids.push(id.to_string()),
+                id => return Err(format!("unknown figure id {id:?}")),
+            }
+        }
+        Ok(parsed)
+    }
+
+    /// True if figure `id` was requested (explicitly, via `all`, or by
+    /// naming none).
+    pub fn wants(&self, id: &str) -> bool {
+        self.ids.is_empty() || self.ids.iter().any(|w| w == "all" || w == id)
+    }
+}
 
 /// Message sizes of Figure 8.
 pub const FIG8_SIZES: [u64; 7] = [128, 256, 512, 1024, 2048, 4096, 8192];
@@ -219,5 +292,54 @@ pub fn fig10(rep: &mut Report, quick: bool) {
             "{:<8} | {:>12} {:>12} {:>12} | {:>12} {:>12} {:>12}",
             row[0], row[1], row[2], row[3], row[4], row[5], row[6]
         ));
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    fn parse(args: &[&str]) -> Result<FigureArgs, String> {
+        FigureArgs::parse(&args.iter().map(|a| a.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parses_ids_and_flags() {
+        let a = parse(&[
+            "shardscale",
+            "txnmix",
+            "--quick",
+            "--json",
+            "out/",
+            "--trace",
+            "t/",
+        ])
+        .unwrap();
+        assert_eq!(a.ids, ["shardscale", "txnmix"]);
+        assert!(a.quick);
+        assert_eq!(a.json, Some(PathBuf::from("out/")));
+        assert_eq!(a.trace, Some(PathBuf::from("t/")));
+        assert!(a.wants("txnmix") && !a.wants("fig8a"));
+    }
+
+    #[test]
+    fn no_ids_or_all_means_everything() {
+        for args in [&[][..], &["all", "--quick"][..]] {
+            let a = parse(args).unwrap();
+            assert!(FIGURE_IDS.iter().all(|id| a.wants(id)), "{args:?}");
+        }
+    }
+
+    #[test]
+    fn rejects_unknown_ids_flags_and_dangling_values() {
+        for (args, err) in [
+            (&["fig8a", "fig99"][..], "unknown figure id \"fig99\""),
+            (&["--json"][..], "--json needs a value"),
+            (&["txnmix", "--trace"][..], "--trace needs a value"),
+            (&["--json", "--quick"][..], "--json needs a value"),
+            (&["--fast"][..], "unknown flag --fast"),
+        ] {
+            assert_eq!(parse(args), Err(err.to_string()), "{args:?}");
+        }
     }
 }

@@ -131,6 +131,14 @@ impl NvmDevice {
 
     /// Writes and immediately flushes (a durable store).
     ///
+    /// Observably identical to [`NvmDevice::write`] followed by
+    /// [`NvmDevice::flush_range`] over the same range — same durable and
+    /// coherent bytes, same volatile remainder, same [`NvmStats`] — but the
+    /// bytes go straight to the durable medium instead of through the
+    /// volatile overlay: stale volatile bytes in range are dropped (the
+    /// store supersedes them) and extents straddling the range keep their
+    /// outside parts.
+    ///
     /// # Errors
     ///
     /// Returns [`AccessOutOfBoundsError`] if the range exceeds capacity.
@@ -139,8 +147,15 @@ impl NvmDevice {
         offset: u64,
         data: &[u8],
     ) -> Result<(), AccessOutOfBoundsError> {
-        self.write(offset, data)?;
-        self.flush_range(offset, data.len() as u64)
+        let _t = simcore::hostprof::scope("nvmsim.write");
+        let len = data.len() as u64;
+        self.check(offset, len)?;
+        self.volatile.take_range_with(offset, len, |_, _| {});
+        self.durable[offset as usize..offset as usize + data.len()].copy_from_slice(data);
+        self.stats.bytes_written += len;
+        self.stats.flushes += 1;
+        self.stats.bytes_flushed += len;
+        Ok(())
     }
 
     /// Reads `buf.len()` bytes at `offset` (coherent: sees volatile bytes).

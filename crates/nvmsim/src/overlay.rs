@@ -469,6 +469,79 @@ mod randomized {
         }
     }
 
+    /// `NvmDevice::write_durable` stores straight to the durable medium;
+    /// it must be observably identical to `write` + `flush_range` over the
+    /// same range, replayed on a clone of the device. Durable stores are
+    /// aimed at the pending volatile extents — overlapping, touching and
+    /// straddling them — as well as at random offsets.
+    #[test]
+    fn write_durable_matches_write_then_flush() {
+        use crate::NvmDevice;
+        const SPACE: u64 = 160;
+        for case in 0..64u64 {
+            let mut rng = TestRng(0xD0AB1E + case);
+            let mut direct = NvmDevice::new(SPACE + 64);
+            let mut reference = direct.clone();
+            for _ in 0..80 {
+                match rng.range(0, 4) {
+                    0 => {
+                        let len = rng.range(1, 24) as usize;
+                        let (o, d) = (rng.range(0, SPACE), rng.bytes(len));
+                        direct.write(o, &d).unwrap();
+                        reference.write(o, &d).unwrap();
+                    }
+                    1 => {
+                        let (o, l) = (rng.range(0, SPACE), rng.range(0, 40));
+                        direct.flush_range(o, l).unwrap();
+                        reference.flush_range(o, l).unwrap();
+                    }
+                    _ => {
+                        // Dirty runs, found through the public API.
+                        let dirty: Vec<u64> = (0..SPACE)
+                            .filter(|&o| !direct.is_durable(o, 1).unwrap())
+                            .collect();
+                        let len = rng.range(0, 24);
+                        let o = match dirty.get(rng.range(0, dirty.len() as u64 + 1) as usize) {
+                            // Start at, end at, or straddle a dirty byte.
+                            Some(&b) => match rng.range(0, 4) {
+                                0 => b,
+                                1 => (b + 1).saturating_sub(len),
+                                2 => b + 1,
+                                _ => b.saturating_sub(len / 2),
+                            },
+                            None => rng.range(0, SPACE),
+                        };
+                        let d = rng.bytes(len as usize);
+                        direct.write_durable(o, &d).unwrap();
+                        reference.write(o, &d).unwrap();
+                        reference.flush_range(o, len).unwrap();
+                    }
+                }
+                let all = direct.capacity();
+                assert_eq!(
+                    direct.read_durable_vec(0, all).unwrap(),
+                    reference.read_durable_vec(0, all).unwrap(),
+                    "durable bytes differ (case {case})"
+                );
+                assert_eq!(direct.volatile_bytes(), reference.volatile_bytes());
+                assert_eq!(
+                    direct.read_vec(0, all).unwrap(),
+                    reference.read_vec(0, all).unwrap(),
+                    "coherent bytes differ (case {case})"
+                );
+                assert_eq!(direct.stats(), reference.stats());
+            }
+            // Both lose the same bytes in a power failure.
+            direct.power_failure();
+            reference.power_failure();
+            let all = direct.capacity();
+            assert_eq!(
+                direct.read_vec(0, all).unwrap(),
+                reference.read_vec(0, all).unwrap()
+            );
+        }
+    }
+
     #[test]
     fn extents_stay_disjoint_and_nonempty() {
         for case in 0..64u64 {

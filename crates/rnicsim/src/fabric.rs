@@ -21,8 +21,8 @@ use crate::types::{
 use netsim::{FabricConfig, Network, NodeId};
 use nvmsim::NvmDevice;
 use simcore::simtrace::{TraceKind, NO_OP};
-use simcore::{MetricsRegistry, Outbox, SimDuration, SimRng, SimTime, Tracer};
-use std::collections::{HashMap, VecDeque};
+use simcore::{MetricsRegistry, Outbox, SeqRing, SimDuration, SimRng, SimTime, Tracer};
+use std::collections::VecDeque;
 
 #[derive(Debug)]
 struct PendingCompletion {
@@ -50,10 +50,11 @@ struct QueuePair {
     recvs: VecDeque<RecvWqe>,
     /// Two-sided messages that arrived before a RECV was available.
     pending_rx: VecDeque<Message>,
-    inflight: u32,
     outstanding_reads: u32,
-    next_seq: u64,
-    pending_acks: HashMap<u64, PendingCompletion>,
+    /// In-flight wire WQEs by message seq. Seqs are assigned in order but
+    /// may be acked out of order (a loopback READ response can be overtaken
+    /// by a later WRITE's ACK), which the ring tolerates.
+    pending_acks: SeqRing<PendingCompletion>,
     engine_scheduled: bool,
     parked_on_cq: Option<CqId>,
 }
@@ -302,10 +303,8 @@ impl RdmaFabric {
             recv_cq,
             recvs: VecDeque::new(),
             pending_rx: VecDeque::new(),
-            inflight: 0,
             outstanding_reads: 0,
-            next_seq: 0,
-            pending_acks: HashMap::new(),
+            pending_acks: SeqRing::new(),
             engine_scheduled: false,
             parked_on_cq: None,
         });
@@ -600,7 +599,7 @@ impl RdmaFabric {
             if eff.is_fenced() && q.outstanding_reads > 0 {
                 return; // a response arrival will kick
             }
-            if q.inflight >= self.config.max_inflight {
+            if q.pending_acks.len() >= self.config.max_inflight as usize {
                 return; // an ack will kick
             }
         }
@@ -744,19 +743,13 @@ impl RdmaFabric {
             .expect("connected");
 
         let q = &mut self.nodes[node.0 as usize].qps[qp.0 as usize];
-        let seq = q.next_seq;
-        q.next_seq += 1;
-        q.pending_acks.insert(
-            seq,
-            PendingCompletion {
-                wr_id: eff.wr_id,
-                opcode: eff.opcode,
-                signaled: eff.is_signaled(),
-                is_read_or_atomic: false,
-                resp_dst: 0,
-            },
-        );
-        q.inflight += 1;
+        let seq = q.pending_acks.push(PendingCompletion {
+            wr_id: eff.wr_id,
+            opcode: eff.opcode,
+            signaled: eff.is_signaled(),
+            is_read_or_atomic: false,
+            resp_dst: 0,
+        });
         q.sq_head += 1;
         self.stats.wqes_executed += 1;
         self.tracer.emit(
@@ -826,19 +819,13 @@ impl RdmaFabric {
             .peer
             .expect("connected");
         let q = &mut self.nodes[node.0 as usize].qps[qp.0 as usize];
-        let seq = q.next_seq;
-        q.next_seq += 1;
-        q.pending_acks.insert(
-            seq,
-            PendingCompletion {
-                wr_id: eff.wr_id,
-                opcode: eff.opcode,
-                signaled: eff.is_signaled(),
-                is_read_or_atomic: true,
-                resp_dst: eff.local_addr,
-            },
-        );
-        q.inflight += 1;
+        let seq = q.pending_acks.push(PendingCompletion {
+            wr_id: eff.wr_id,
+            opcode: eff.opcode,
+            signaled: eff.is_signaled(),
+            is_read_or_atomic: true,
+            resp_dst: eff.local_addr,
+        });
         q.outstanding_reads += 1;
         q.sq_head += 1;
         self.stats.wqes_executed += 1;
@@ -974,7 +961,7 @@ impl RdmaFabric {
     fn requester_op(&self, requester: NodeId, qp: QpId, seq: u64) -> u64 {
         self.nodes[requester.0 as usize].qps[qp.0 as usize]
             .pending_acks
-            .get(&seq)
+            .get(seq)
             .map_or(NO_OP, |p| p.wr_id)
     }
 
@@ -1314,10 +1301,9 @@ impl RdmaFabric {
     ) {
         let pending = {
             let q = &mut self.nodes[node.0 as usize].qps[qp.0 as usize];
-            let Some(p) = q.pending_acks.remove(&seq) else {
+            let Some(p) = q.pending_acks.remove(seq) else {
                 return; // duplicate/stale
             };
-            q.inflight -= 1;
             if p.is_read_or_atomic {
                 q.outstanding_reads -= 1;
             }

@@ -61,14 +61,12 @@ mod tests {
 
     impl Harness {
         fn new(nodes: u32) -> Simulation<Harness> {
+            Self::with_config(nodes, NicConfig::default())
+        }
+
+        fn with_config(nodes: u32, config: NicConfig) -> Simulation<Harness> {
             Simulation::new(Harness {
-                fab: RdmaFabric::new(
-                    nodes,
-                    1 << 22,
-                    NicConfig::default(),
-                    FabricConfig::default(),
-                    7,
-                ),
+                fab: RdmaFabric::new(nodes, 1 << 22, config, FabricConfig::default(), 7),
                 notifies: Vec::new(),
             })
         }
@@ -804,6 +802,103 @@ mod tests {
         assert_eq!(sim.model.fab.mem(N0).read_vec(dst, 8).unwrap(), b"memcpyme");
         // Local RDMA is sub-microsecond.
         assert!(sim.now().since(SimTime::ZERO) < SimDuration::from_micros(3));
+    }
+
+    /// On a loopback QP a 0-byte READ (gFLUSH) pays `flush_base` at the
+    /// responder and skips the per-pair FIFO clamp, so once the flush costs
+    /// more than a WQE fetch + issue, the ACK of a WRITE posted after it
+    /// overtakes its response. Both must still complete with their own
+    /// `wr_id`, and a duplicate or never-issued ACK seq must be ignored
+    /// without disturbing later completions.
+    #[test]
+    fn loopback_write_ack_overtakes_read_response() {
+        let mut sim = Harness::with_config(
+            1,
+            NicConfig {
+                flush_base: SimDuration::from_micros(1),
+                ..NicConfig::default()
+            },
+        );
+        let cq = sim.model.fab.create_cq(N0);
+        let peer_cq = sim.model.fab.create_cq(N0);
+        let qx = sim.model.fab.create_qp(N0, cq, cq);
+        let qy = sim.model.fab.create_qp(N0, peer_cq, peer_cq);
+        sim.model.fab.connect(N0, qx, N0, qy);
+        let src = sim.model.fab.alloc(N0, 4096);
+        let dst = sim.model.fab.alloc(N0, 4096);
+        sim.model.fab.reg_mr(N0, dst, 4096);
+        sim.model
+            .fab
+            .mem(N0)
+            .write_durable(src, b"overtake")
+            .unwrap();
+        let signaled = wqe_flags::HW_OWNED | wqe_flags::SIGNALED;
+        let read = Wqe {
+            opcode: Opcode::Read,
+            flags: signaled,
+            remote_addr: dst,
+            wr_id: 10,
+            ..Wqe::default()
+        };
+        let write = |wr_id| Wqe {
+            opcode: Opcode::Write,
+            flags: signaled,
+            local_addr: src,
+            len: 8,
+            remote_addr: dst,
+            wr_id,
+            ..Wqe::default()
+        };
+        post_send(&mut sim, N0, qx, read); // seq 0
+        post_send(&mut sim, N0, qx, write(11)); // seq 1
+        sim.run();
+        let done: Vec<(u64, Opcode, CqeStatus)> = sim
+            .model
+            .fab
+            .poll_cq(N0, cq, 16)
+            .iter()
+            .map(|c| (c.wr_id, c.opcode, c.status))
+            .collect();
+        assert_eq!(
+            done,
+            vec![
+                (11, Opcode::Write, CqeStatus::Success),
+                (10, Opcode::Read, CqeStatus::Success),
+            ],
+            "the WRITE's ACK must overtake the READ response"
+        );
+
+        // A duplicate ACK for seq 1 and one for a seq never issued are
+        // stale: no completion, no error.
+        for seq in [1, 7] {
+            let mut out = Outbox::new();
+            let now = sim.queue.now();
+            let msg = Message::Ack {
+                seq,
+                status: CqeStatus::Success,
+            };
+            sim.model.fab.handle(
+                now,
+                NicEvent::Deliver {
+                    node: N0,
+                    qp: qx,
+                    msg,
+                },
+                &mut out,
+            );
+            Harness::route(&mut out, &mut sim.queue);
+        }
+        sim.run();
+        assert!(sim.model.fab.poll_cq(N0, cq, 16).is_empty());
+        assert_eq!(sim.model.fab.stats().errors, 0);
+
+        // The ring keeps numbering after the holes: the next WRITE (seq 2)
+        // completes normally.
+        post_send(&mut sim, N0, qx, write(12));
+        sim.run();
+        let next = sim.model.fab.poll_cq(N0, cq, 16);
+        assert_eq!(next.len(), 1);
+        assert_eq!((next[0].wr_id, next[0].status), (12, CqeStatus::Success));
     }
 
     #[test]

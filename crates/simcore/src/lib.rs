@@ -11,6 +11,7 @@
 //! * [`model`] — the [`Model`] trait, [`Simulation`] run loops and the
 //!   [`Outbox`] pattern for composing sub-components.
 //! * [`rng`] — a self-contained, cross-platform deterministic PRNG.
+//! * [`seqring`] — O(1) tables keyed by monotonically assigned ids.
 //! * [`dist`] — YCSB-style key-choice distributions (zipfian, latest, …).
 //! * [`stats`] — HDR-style histograms and latency summaries.
 //! * [`simtrace`] — causal trace events, span reconstruction, Chrome
@@ -70,6 +71,7 @@ pub mod jsonw;
 pub mod model;
 pub mod queue;
 pub mod rng;
+pub mod seqring;
 pub mod simaudit;
 pub mod simprof;
 pub mod simtrace;
@@ -81,6 +83,7 @@ pub use hostprof::{HostMeter, HostProf, HostStats};
 pub use model::{Model, Outbox, Simulation};
 pub use queue::{EventQueue, QueueStats};
 pub use rng::SimRng;
+pub use seqring::SeqRing;
 pub use simaudit::{
     Audit, Auditor, HealthMonitor, HealthState, MetricSeries, Probe, SeriesPoint, SeriesSummary,
     SloConfig, Violation,

@@ -19,11 +19,10 @@ use cpusched::{CpuEffect, CpuScheduler, HogProfile, ProcKind, TaskId};
 use netsim::NodeId;
 use rnicsim::{CqId, NicCtx, NicEffect, RdmaFabric};
 use simcore::{
-    simtrace::NO_OP, EventQueue, MetricsRegistry, Model, Outbox, SimDuration, SimRng, SimTime,
-    Simulation, Tracer,
+    simtrace::NO_OP, EventQueue, MetricsRegistry, Model, Outbox, SeqRing, SimDuration, SimRng,
+    SimTime, Simulation, Tracer,
 };
 use std::any::Any;
-use std::collections::HashMap;
 
 struct ProcEntry {
     node: NodeId,
@@ -38,9 +37,11 @@ pub struct Cluster {
     scheds: Vec<CpuScheduler>,
     procs: Vec<ProcEntry>,
     apps: Vec<Option<Box<dyn HostApp>>>,
-    cq_bindings: HashMap<(NodeId, CqId), (ProcRef, SimDuration)>,
-    tasks: HashMap<u64, (ProcRef, TaskKind)>,
-    next_task: u64,
+    /// Per node, indexed by CQ id: the process a CQ's notifications wake
+    /// and the CPU cost of handling one.
+    cq_bindings: Vec<Vec<Option<(ProcRef, SimDuration)>>>,
+    /// CPU tasks awaiting completion, keyed by their `TaskId`.
+    tasks: SeqRing<(ProcRef, TaskKind)>,
     config: ClusterConfig,
     /// Scheduler effects emitted during setup, before the event queue exists;
     /// drained by the `Start` event.
@@ -85,9 +86,8 @@ impl Cluster {
                 .collect(),
             procs: Vec::new(),
             apps: Vec::new(),
-            cq_bindings: HashMap::new(),
-            tasks: HashMap::new(),
-            next_task: 0,
+            cq_bindings: vec![Vec::new(); nodes as usize],
+            tasks: SeqRing::new(),
             config,
             pending_boot: Vec::new(),
             pending_nic_boot: Vec::new(),
@@ -195,7 +195,11 @@ impl Cluster {
             self.procs[proc.0 as usize].node, node,
             "process and CQ live on different nodes"
         );
-        self.cq_bindings.insert((node, cq), (proc, handler_cost));
+        let bindings = &mut self.cq_bindings[node.0 as usize];
+        if bindings.len() <= cq.0 as usize {
+            bindings.resize(cq.0 as usize + 1, None);
+        }
+        bindings[cq.0 as usize] = Some((proc, handler_cost));
         self.fab.arm_cq(node, cq);
     }
 
@@ -231,6 +235,11 @@ impl Cluster {
 
     // ---- event routing ----------------------------------------------------
 
+    /// The process bound to `(node, cq)` and its handler cost, if any.
+    fn cq_binding(&self, node: NodeId, cq: CqId) -> Option<(ProcRef, SimDuration)> {
+        *self.cq_bindings[node.0 as usize].get(cq.0 as usize)?
+    }
+
     fn route_nic(
         &mut self,
         now: SimTime,
@@ -244,7 +253,7 @@ impl Cluster {
             match eff {
                 NicEffect::Internal(ev) => q.push_after(delay, ClusterEvent::Nic(ev)),
                 NicEffect::HostNotify { node, cq } => {
-                    if let Some(&(proc, cost)) = self.cq_bindings.get(&(node, cq)) {
+                    if let Some((proc, cost)) = self.cq_binding(node, cq) {
                         let op = self.fab.cq_peek_op(node, cq);
                         self.submit_task(now, proc, TaskKind::CqReady(cq), cost, op, q);
                     }
@@ -279,9 +288,7 @@ impl Cluster {
         op: u64,
         q: &mut EventQueue<ClusterEvent>,
     ) {
-        let id = self.next_task;
-        self.next_task += 1;
-        self.tasks.insert(id, (proc, kind));
+        let id = self.tasks.push((proc, kind));
         let entry = &self.procs[proc.0 as usize];
         let node = entry.node;
         let cpu_proc = entry.cpu_proc;
@@ -335,7 +342,7 @@ impl Cluster {
         let node = self.procs[proc.0 as usize].node;
         self.fab.arm_cq(node, cq);
         if self.fab.cq_depth(node, cq) > 0 {
-            if let Some(&(p, cost)) = self.cq_bindings.get(&(node, cq)) {
+            if let Some((p, cost)) = self.cq_binding(node, cq) {
                 let op = self.fab.cq_peek_op(node, cq);
                 self.submit_task(now, p, TaskKind::CqReady(cq), cost, op, q);
             }
@@ -380,7 +387,7 @@ impl Model for Cluster {
                 self.cpu_scratch = out;
             }
             ClusterEvent::TaskDone { id } => {
-                let Some((proc, kind)) = self.tasks.remove(&id) else {
+                let Some((proc, kind)) = self.tasks.remove(id) else {
                     return;
                 };
                 match kind {
@@ -403,7 +410,7 @@ impl Model for Cluster {
                 self.submit_task(now, proc, TaskKind::Timer(token), cost, NO_OP, q);
             }
             ClusterEvent::HostNotify { node, cq } => {
-                if let Some(&(proc, cost)) = self.cq_bindings.get(&(node, cq)) {
+                if let Some((proc, cost)) = self.cq_binding(node, cq) {
                     let op = self.fab.cq_peek_op(node, cq);
                     self.submit_task(now, proc, TaskKind::CqReady(cq), cost, op, q);
                 }
