@@ -82,16 +82,14 @@
 //! stderr without failing — the early signal that the fastpath is eroding.
 //! This paragraph is the single normative statement of those thresholds;
 //! DESIGN.md and README.md defer to it.
+//!
+//! A `--baseline`/`--host-baseline` with no value, an unknown flag, or no
+//! report at all prints the usage line and exits with status 2; a report
+//! that fails a gate exits with status 1.
 
 use simcore::jsonw::{parse, JsonValue};
 use std::collections::BTreeMap;
 use std::process::ExitCode;
-
-/// One validation failure, located well enough to grep the report.
-fn fail(path: &str, scenario: &str, msg: &str) -> ExitCode {
-    eprintln!("benchcheck: {path}: scenario {scenario:?}: {msg}");
-    ExitCode::FAILURE
-}
 
 /// Checks one `{key: number}` object: every value a finite number, and —
 /// when `counters` — a non-negative integer. Returns the offending message.
@@ -847,85 +845,85 @@ fn load_baseline(path: &str, host: bool) -> Result<BTreeMap<String, f64>, String
     load_metric(path, if host { "host" } else { "gauges" }, "ops_per_sec")
 }
 
-fn check_file(
-    path: &str,
-    baseline: Option<&BTreeMap<String, f64>>,
-    p99_baseline: Option<&BTreeMap<String, f64>>,
-    host_baseline: Option<&BTreeMap<String, f64>>,
-) -> Result<usize, ExitCode> {
-    let text = std::fs::read_to_string(path).map_err(|e| {
-        eprintln!("benchcheck: {path}: {e}");
-        ExitCode::FAILURE
-    })?;
-    let root = parse(&text).map_err(|e| {
-        eprintln!("benchcheck: {path}: malformed JSON: {e}");
-        ExitCode::FAILURE
-    })?;
+/// The baselines the regression gates compare against, each mapping a
+/// scenario name to the baseline value.
+#[derive(Debug, Default)]
+struct Baselines {
+    /// `gauges.ops_per_sec` (`--baseline`).
+    ops: Option<BTreeMap<String, f64>>,
+    /// `latency.p99_ns` (`--baseline`).
+    p99: Option<BTreeMap<String, f64>>,
+    /// `host.ops_per_sec` (`--host-baseline`).
+    host: Option<BTreeMap<String, f64>>,
+}
+
+/// Validates the report at `path`. Returns the scenario count, or the
+/// first failure located well enough to grep the report.
+fn check_file(path: &str, base: &Baselines) -> Result<usize, String> {
+    let text = std::fs::read_to_string(path).map_err(|e| e.to_string())?;
+    check_report(path, &text, base)
+}
+
+/// Validates one report's text against every gate; `path` only labels
+/// the warnings printed to stderr.
+fn check_report(path: &str, text: &str, base: &Baselines) -> Result<usize, String> {
+    let root = parse(text).map_err(|e| format!("malformed JSON: {e}"))?;
     let schema = root.get("schema").and_then(|v| v.as_str()).unwrap_or("");
     if schema != "hyperloop-bench/v1" {
-        eprintln!("benchcheck: {path}: unknown schema {schema:?}");
-        return Err(ExitCode::FAILURE);
+        return Err(format!("unknown schema {schema:?}"));
     }
     let Some(scenarios) = root.get("scenarios").and_then(|v| v.as_arr()) else {
-        eprintln!("benchcheck: {path}: no scenarios array");
-        return Err(ExitCode::FAILURE);
+        return Err("no scenarios array".into());
     };
     if scenarios.is_empty() {
-        eprintln!("benchcheck: {path}: report carries zero scenarios");
-        return Err(ExitCode::FAILURE);
+        return Err("report carries zero scenarios".into());
     }
     for s in scenarios {
         let name = s
             .get("name")
             .and_then(|v| v.as_str())
             .unwrap_or("<unnamed>");
+        let at = |m: String| format!("scenario {name:?}: {m}");
         if name == "<unnamed>" {
-            return Err(fail(path, name, "scenario has no name"));
+            return Err(at("scenario has no name".into()));
         }
         if let Some(lat) = s.get("latency") {
-            check_numbers(lat, "latency", true).map_err(|m| fail(path, name, &m))?;
+            check_numbers(lat, "latency", true).map_err(at)?;
         }
         if let Some(g) = s.get("gauges") {
-            check_numbers(g, "gauges", false).map_err(|m| fail(path, name, &m))?;
+            check_numbers(g, "gauges", false).map_err(at)?;
         }
         if let Some(h) = s.get("health") {
-            check_health(h).map_err(|m| fail(path, name, &m))?;
+            check_health(h).map_err(at)?;
         }
         match s.get("host") {
-            Some(h) => check_host(h).map_err(|m| fail(path, name, &m))?,
+            Some(h) => check_host(h).map_err(at)?,
             None => {
-                return Err(fail(
-                    path,
-                    name,
-                    "scenario has no host block (wall-clock self-profile)",
+                return Err(at(
+                    "scenario has no host block (wall-clock self-profile)".into()
                 ))
             }
         }
         if let Some(metrics) = s.get("metrics") {
             if let Some(c) = metrics.get("counters") {
-                check_numbers(c, "metrics.counters", true).map_err(|m| fail(path, name, &m))?;
-                check_shard_monotonicity(c).map_err(|m| fail(path, name, &m))?;
-                check_txn_counters(c).map_err(|m| fail(path, name, &m))?;
-                check_txn_observability(c).map_err(|m| fail(path, name, &m))?;
+                check_numbers(c, "metrics.counters", true).map_err(at)?;
+                check_shard_monotonicity(c).map_err(at)?;
+                check_txn_counters(c).map_err(at)?;
+                check_txn_observability(c).map_err(at)?;
                 // The audit total rides in the registry snapshot too — a
                 // report without a health block still cannot hide one.
                 if let Some(v) = c.get("audit.violations").and_then(|v| v.as_u64()) {
                     if v > 0 {
-                        return Err(fail(
-                            path,
-                            name,
-                            &format!("audit.violations counter is {v}, expected 0"),
-                        ));
+                        return Err(at(format!("audit.violations counter is {v}, expected 0")));
                     }
                 }
             }
             if let Some(g) = metrics.get("gauges") {
-                check_numbers(g, "metrics.gauges", false).map_err(|m| fail(path, name, &m))?;
+                check_numbers(g, "metrics.gauges", false).map_err(at)?;
             }
             if let Some(h) = metrics.get("histograms") {
                 for (k, v) in h.as_obj().unwrap_or(&[]) {
-                    check_numbers(v, &format!("metrics.histograms.{k}"), true)
-                        .map_err(|m| fail(path, name, &m))?;
+                    check_numbers(v, &format!("metrics.histograms.{k}"), true).map_err(at)?;
                 }
             }
         }
@@ -935,28 +933,28 @@ fn check_file(
             .iter()
             .any(|p| name.starts_with(p));
         if needs_tailscope && s.get("tail").is_none() {
-            return Err(fail(path, name, "scenario has no tail block"));
+            return Err(at("scenario has no tail block".into()));
         }
         if needs_tailscope && s.get("series").is_none() {
-            return Err(fail(path, name, "scenario has no series block"));
+            return Err(at("scenario has no series block".into()));
         }
         if let Some(t) = s.get("tail") {
-            check_tail(t).map_err(|m| fail(path, name, &m))?;
+            check_tail(t).map_err(at)?;
         }
         if let Some(se) = s.get("series") {
-            check_series(se).map_err(|m| fail(path, name, &m))?;
+            check_series(se).map_err(at)?;
         }
         if let Some(att) = s.get("stage_attribution") {
-            check_attribution(att).map_err(|m| fail(path, name, &m))?;
+            check_attribution(att).map_err(at)?;
         }
         if let Some(att) = s.get("txn_breakdown") {
-            check_txn_breakdown(att).map_err(|m| fail(path, name, &m))?;
+            check_txn_breakdown(att).map_err(at)?;
         }
         if let Some(ac) = s.get("abort_causes") {
             let counters = s.get("metrics").and_then(|m| m.get("counters"));
-            check_abort_causes(ac, counters).map_err(|m| fail(path, name, &m))?;
+            check_abort_causes(ac, counters).map_err(at)?;
         }
-        if let Some(base) = baseline {
+        if let Some(base) = &base.ops {
             if let (Some(expected), Some(got)) = (
                 base.get(name),
                 s.get("gauges")
@@ -965,19 +963,15 @@ fn check_file(
             ) {
                 let threshold = expected * 0.75;
                 if got < threshold {
-                    return Err(fail(
-                        path,
-                        name,
-                        &format!(
-                            "throughput regression in scenario {name:?}, metric gauges.ops_per_sec: \
+                    return Err(at(format!(
+                        "throughput regression in scenario {name:?}, metric gauges.ops_per_sec: \
                              measured {got:.0} ops/s is below the threshold {threshold:.0} ops/s \
                              (75% of baseline {expected:.0} ops/s)"
-                        ),
-                    ));
+                    )));
                 }
             }
         }
-        if let Some(base) = p99_baseline {
+        if let Some(base) = &base.p99 {
             if let (Some(&expected), Some(got)) = (
                 base.get(name),
                 s.get("latency")
@@ -988,15 +982,11 @@ fn check_file(
                     let fail_at = expected * 3.0;
                     let warn_at = expected * 1.5;
                     if got >= fail_at {
-                        return Err(fail(
-                            path,
-                            name,
-                            &format!(
-                                "tail-latency regression in scenario {name:?}, metric \
+                        return Err(at(format!(
+                            "tail-latency regression in scenario {name:?}, metric \
                                  latency.p99_ns: measured {got:.0} ns is at or above \
                                  {fail_at:.0} ns (3x baseline {expected:.0} ns)"
-                            ),
-                        ));
+                        )));
                     } else if got >= warn_at {
                         eprintln!(
                             "benchcheck: {path}: scenario {name:?}: warning: latency.p99_ns \
@@ -1007,7 +997,7 @@ fn check_file(
                 }
             }
         }
-        if let Some(base) = host_baseline {
+        if let Some(base) = &base.host {
             if let (Some(expected), Some(got)) = (
                 base.get(name),
                 s.get("host")
@@ -1017,15 +1007,11 @@ fn check_file(
                 let fail_below = expected * 0.5;
                 let warn_below = expected * 0.9;
                 if got < fail_below {
-                    return Err(fail(
-                        path,
-                        name,
-                        &format!(
+                    return Err(at(format!(
                             "host throughput regression in scenario {name:?}, metric host.ops_per_sec: \
                              measured {got:.0} ops/s is below the threshold {fail_below:.0} ops/s \
                              (50% of host baseline {expected:.0} ops/s)"
-                        ),
-                    ));
+                        )));
                 } else if got < warn_below {
                     eprintln!(
                         "benchcheck: {path}: scenario {name:?}: warning: host.ops_per_sec \
@@ -1039,77 +1025,343 @@ fn check_file(
     Ok(scenarios.len())
 }
 
+const USAGE: &str = "usage: benchcheck [--baseline BENCH_BASELINE.json] \
+                     [--host-baseline BENCH_BASELINE.json] <BENCH_*.json> ...";
+
+/// Parsed command line.
+#[derive(Debug, Default, PartialEq, Eq)]
+struct Args {
+    baseline: Option<String>,
+    host_baseline: Option<String>,
+    paths: Vec<String>,
+}
+
+/// Parses the arguments after the program name. Rejects a
+/// `--baseline`/`--host-baseline` with no value (or with another flag
+/// where the value should be), unknown flags, and an empty report list.
+fn parse_args(args: &[String]) -> Result<Args, String> {
+    let mut parsed = Args::default();
+    let mut it = args.iter();
+    while let Some(a) = it.next() {
+        match a.as_str() {
+            flag @ ("--baseline" | "--host-baseline") => {
+                let value = it
+                    .next()
+                    .filter(|v| !v.starts_with("--"))
+                    .ok_or_else(|| format!("{flag} needs a value"))?;
+                let slot = if flag == "--baseline" {
+                    &mut parsed.baseline
+                } else {
+                    &mut parsed.host_baseline
+                };
+                *slot = Some(value.clone());
+            }
+            flag if flag.starts_with("--") => return Err(format!("unknown flag {flag}")),
+            path => parsed.paths.push(path.to_string()),
+        }
+    }
+    if parsed.paths.is_empty() {
+        return Err("no report given".into());
+    }
+    Ok(parsed)
+}
+
+/// Loads one baseline map, announcing its coverage.
+fn load(
+    what: &str,
+    path: Option<&str>,
+    read: impl Fn(&str) -> Result<BTreeMap<String, f64>, String>,
+) -> Result<Option<BTreeMap<String, f64>>, String> {
+    let Some(path) = path else {
+        return Ok(None);
+    };
+    let b = read(path).map_err(|e| format!("{what}: {e}"))?;
+    println!("benchcheck: {what} covers {} scenarios", b.len());
+    Ok(Some(b))
+}
+
+/// Loads the requested baselines, then checks every report in order,
+/// stopping at the first failure.
+fn run(args: &Args) -> Result<(), String> {
+    let baseline = args.baseline.as_deref();
+    let base = Baselines {
+        ops: load("baseline", baseline, |p| load_baseline(p, false))?,
+        p99: load("p99 baseline", baseline, |p| {
+            load_metric(p, "latency", "p99_ns")
+        })?,
+        host: load("host baseline", args.host_baseline.as_deref(), |p| {
+            load_baseline(p, true)
+        })?,
+    };
+    for path in &args.paths {
+        let n = check_file(path, &base).map_err(|e| format!("{path}: {e}"))?;
+        println!("benchcheck: {path}: ok ({n} scenarios)");
+    }
+    Ok(())
+}
+
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut baseline_path: Option<String> = None;
-    let mut host_baseline_path: Option<String> = None;
-    let mut paths: Vec<String> = Vec::new();
-    let mut it = args.into_iter();
-    while let Some(a) = it.next() {
-        if a == "--baseline" {
-            baseline_path = it.next();
-        } else if a == "--host-baseline" {
-            host_baseline_path = it.next();
-        } else {
-            paths.push(a);
-        }
-    }
-    if paths.is_empty() {
-        eprintln!(
-            "usage: benchcheck [--baseline BENCH_BASELINE.json] \
-             [--host-baseline BENCH_BASELINE.json] <BENCH_*.json> ..."
-        );
-        return ExitCode::FAILURE;
-    }
-    let baseline = match baseline_path.as_deref().map(|p| load_baseline(p, false)) {
-        None => None,
-        Some(Ok(b)) => {
-            println!("benchcheck: baseline covers {} scenarios", b.len());
-            Some(b)
-        }
-        Some(Err(e)) => {
-            eprintln!("benchcheck: baseline: {e}");
-            return ExitCode::FAILURE;
+    let args = match parse_args(&args) {
+        Ok(a) => a,
+        Err(e) => {
+            eprintln!("benchcheck: {e}\n{USAGE}");
+            return ExitCode::from(2);
         }
     };
-    let p99_baseline = match baseline_path
-        .as_deref()
-        .map(|p| load_metric(p, "latency", "p99_ns"))
-    {
-        None => None,
-        Some(Ok(b)) => {
-            println!("benchcheck: p99 baseline covers {} scenarios", b.len());
-            Some(b)
-        }
-        Some(Err(e)) => {
-            eprintln!("benchcheck: p99 baseline: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    let host_baseline = match host_baseline_path
-        .as_deref()
-        .map(|p| load_baseline(p, true))
-    {
-        None => None,
-        Some(Ok(b)) => {
-            println!("benchcheck: host baseline covers {} scenarios", b.len());
-            Some(b)
-        }
-        Some(Err(e)) => {
-            eprintln!("benchcheck: host baseline: {e}");
-            return ExitCode::FAILURE;
-        }
-    };
-    for path in &paths {
-        match check_file(
-            path,
-            baseline.as_ref(),
-            p99_baseline.as_ref(),
-            host_baseline.as_ref(),
-        ) {
-            Ok(n) => println!("benchcheck: {path}: ok ({n} scenarios)"),
-            Err(code) => return code,
+    match run(&args) {
+        Ok(()) => ExitCode::SUCCESS,
+        Err(e) => {
+            eprintln!("benchcheck: {e}");
+            ExitCode::FAILURE
         }
     }
-    ExitCode::SUCCESS
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    const NAME: &str = "txnmix/locking/theta0.9";
+
+    /// The slower of the two tail exemplars.
+    const EX_SLOW: &str = r#"{"op":1,"shard":0,"start_ns":5,"e2e_ns":2100,"excess_ns":1200,"cause":"lock_wait","cause_arg":0,"stages":[{"label":"wire","actual_ns":1500,"median_ns":500,"excess_ns":1000}],"residual_ns":200}"#;
+
+    /// The faster of the two tail exemplars.
+    const EX_FAST: &str = r#"{"op":2,"shard":0,"start_ns":9,"e2e_ns":2000,"excess_ns":1100,"cause":"queue_wait","cause_arg":0,"stages":[],"residual_ns":1100}"#;
+
+    /// A small report that passes every gate: one txnmix-shaped scenario
+    /// carrying each block a gate looks at.
+    fn valid() -> String {
+        format!(
+            concat!(
+                r#"{{"schema":"hyperloop-bench/v1","tool":"unit","quick":true,"scenarios":[{{"#,
+                r#""name":"{name}","system":"HyperLoop","seed":1,"config":{{}},"#,
+                r#""latency":{{"count":10,"mean_ns":1000,"p50_ns":900,"p95_ns":1500,"p99_ns":2000,"p999_ns":2100,"min_ns":500,"max_ns":2100}},"#,
+                r#""gauges":{{"ops_per_sec":1000.5}},"#,
+                r#""health":{{"violations":0,"breaches":0,"shards":[{{"shard":0,"state":"healthy","acks":10,"p50_ns":900,"p99_ns":2000,"breaches":0}}]}},"#,
+                r#""series":{{"bucket_ns":1000,"shards":[{{"shard":0,"points":["#,
+                r#"{{"t_ns":100,"ops_per_sec":1.5,"p50_ns":1,"p99_ns":2,"inflight":1,"pen":0}},"#,
+                r#"{{"t_ns":200,"ops_per_sec":2.5,"p50_ns":1,"p99_ns":2,"inflight":0,"pen":0}}]}}]}},"#,
+                r#""host":{{"wall_ms":1.5,"ops_per_sec":100.5,"events_per_sec":1000.5,"sim_ns_per_wall_ms":10.5,"ops":10,"sim_ns":1000,"alloc_bytes":64,"#,
+                r#""queue":{{"pushed":10,"popped":9,"max_depth":3}},"#,
+                r#""alloc":{{"allocs":1,"frees":1,"reallocs":0,"alloc_bytes":64,"freed_bytes":64}},"#,
+                r#""obs_tax":{{"observed_wall_ms":1.5,"bare_wall_ms":1.25,"overhead_pct":20.5}}}},"#,
+                r#""metrics":{{"counters":{{"bench.shards.shard0.acked":10,"bench.shards.shard0.issued":10,"#,
+                r#""txn.started":12,"txn.committed":10,"txn.aborted":2,"txn.lock_retries":1,"#,
+                r#""txn.abort_causes.lock_conflict":2,"txn.abort_causes.validation_failed":0,"txn.abort_causes.backoff_exhausted":0,"#,
+                r#""txn.backoff.parks":0,"txn.backoff.delay_ns":0,"#,
+                r#""txn.contention.attempts":5,"txn.contention.cas_failures":1,"txn.contention.conflicts":2,"#,
+                r#""txn.contention.false_conflicts":1,"txn.contention.wait_ns":100,"txn.contention.backoff_retries":0,"#,
+                r#""txn.contention.queue_depth_hwm":1,"txn.contention.contended_sites":1}},"#,
+                r#""gauges":{{"bench.elapsed_secs":0.5}},"histograms":{{}}}},"#,
+                r#""stage_attribution":{{"mean_e2e_ns":1000.25,"stage_mean_sum_ns":1000.75}},"#,
+                r#""txn_breakdown":{{"mean_e2e_ns":1000.25,"phase_mean_sum_ns":999.75}},"#,
+                r#""abort_causes":{{"lock_conflict":2,"validation_failed":0,"backoff_exhausted":0,"total":2}},"#,
+                r#""tail":{{"ops":10,"tail_ops":2,"p99_ns":2000,"median_e2e_ns":900,"#,
+                r#""causes":{{"migration_pause":0,"txn_backoff":0,"lock_wait":1,"replica_straggler":0,"queue_wait":1,"flow_control_stall":0,"residual":0}},"#,
+                r#""exemplars":[{slow},{fast}]}}}}]}}"#
+            ),
+            name = NAME,
+            slow = EX_SLOW,
+            fast = EX_FAST,
+        )
+    }
+
+    fn baselines(ops: f64, p99: f64) -> Baselines {
+        let one = |v: f64| Some(BTreeMap::from([(NAME.to_string(), v)]));
+        Baselines {
+            ops: one(ops),
+            p99: one(p99),
+            host: one(50.5),
+        }
+    }
+
+    fn check(text: &str, base: &Baselines) -> Result<usize, String> {
+        check_report("unit", text, base)
+    }
+
+    #[test]
+    fn the_valid_report_passes_every_gate() {
+        assert_eq!(check(&valid(), &Baselines::default()), Ok(1));
+        assert_eq!(check(&valid(), &baselines(1200.0, 1999.0)), Ok(1));
+    }
+
+    #[test]
+    fn each_gate_rejects_its_mutation() {
+        // (what, replace this, with that, a fragment of the expected error)
+        let cases: [(&str, &str, &str, &str); 18] = [
+            (
+                "null gauge",
+                r#""ops_per_sec":1000.5"#,
+                r#""ops_per_sec":null"#,
+                "gauges.ops_per_sec is null",
+            ),
+            (
+                "fractional counter",
+                r#""bench.shards.shard0.acked":10"#,
+                r#""bench.shards.shard0.acked":10.5"#,
+                "shard0.acked is not a non-negative integer",
+            ),
+            (
+                "negative counter",
+                r#""txn.lock_retries":1"#,
+                r#""txn.lock_retries":-1"#,
+                "txn.lock_retries is not a non-negative integer",
+            ),
+            (
+                "shard acked more than it issued",
+                r#""bench.shards.shard0.issued":10"#,
+                r#""bench.shards.shard0.issued":9"#,
+                "shard0.acked=10 exceeds",
+            ),
+            (
+                "committed + aborted > started",
+                r#""txn.started":12"#,
+                r#""txn.started":11"#,
+                "txn.aborted=2 exceeds txn.started=11",
+            ),
+            (
+                "abort causes do not sum to aborted",
+                r#""txn.abort_causes.lock_conflict":2"#,
+                r#""txn.abort_causes.lock_conflict":1"#,
+                "txn.abort_causes.* sum to 1",
+            ),
+            (
+                "unknown abort cause",
+                r#""txn.backoff.parks":0"#,
+                r#""txn.abort_causes.gremlins":0,"txn.backoff.parks":0"#,
+                "txn.abort_causes.gremlins is outside",
+            ),
+            (
+                "missing contention roll-up",
+                r#""txn.contention.wait_ns":100,"#,
+                "",
+                "txn.contention.wait_ns is absent",
+            ),
+            (
+                "false conflicts above conflicts",
+                r#""txn.contention.false_conflicts":1"#,
+                r#""txn.contention.false_conflicts":3"#,
+                "false_conflicts=3 exceeds",
+            ),
+            (
+                "txn breakdown off by more than 1 ns",
+                r#""phase_mean_sum_ns":999.75"#,
+                r#""phase_mean_sum_ns":999.0"#,
+                "txn phase means do not tile",
+            ),
+            (
+                "stage attribution off by more than 1 ns",
+                r#""stage_mean_sum_ns":1000.75"#,
+                r#""stage_mean_sum_ns":1001.5"#,
+                "stage means do not tile",
+            ),
+            (
+                "health state outside the enum",
+                r#""state":"healthy""#,
+                r#""state":"sick""#,
+                "outside the closed enum",
+            ),
+            (
+                "audit violations",
+                r#""violations":0"#,
+                r#""violations":1"#,
+                "1 invariant violation(s)",
+            ),
+            (
+                "unknown host key",
+                r#""wall_ms":1.5,"#,
+                r#""wall_ms":1.5,"gremlins":1,"#,
+                "host.gremlins is outside",
+            ),
+            (
+                "queue popped more than it pushed",
+                r#""popped":9"#,
+                r#""popped":11"#,
+                "host.queue.popped=11 exceeds",
+            ),
+            (
+                "tail causes do not sum to tail_ops",
+                r#""queue_wait":1"#,
+                r#""queue_wait":2"#,
+                "tail.causes.* sum to 3",
+            ),
+            (
+                "exemplars out of order",
+                &format!("{EX_SLOW},{EX_FAST}"),
+                &format!("{EX_FAST},{EX_SLOW}"),
+                "out of slowest-first order",
+            ),
+            (
+                "series t_ns not monotonic",
+                r#""t_ns":200"#,
+                r#""t_ns":100"#,
+                "is not strictly after",
+            ),
+        ];
+        let good = valid();
+        for (what, from, to, expect) in cases {
+            assert_eq!(good.matches(from).count(), 1, "{what}: anchor not unique");
+            let bad = good.replacen(from, to, 1);
+            let err = check(&bad, &Baselines::default())
+                .expect_err(&format!("{what}: the mutated report passed"));
+            assert!(err.contains(expect), "{what}: wrong rejection: {err}");
+        }
+    }
+
+    #[test]
+    fn baseline_gates_reject_regressions() {
+        // ops_per_sec 1000.5 is below 75% of 1400.
+        let err = check(&valid(), &baselines(1400.0, 1999.0)).unwrap_err();
+        assert!(err.contains("throughput regression"), "{err}");
+        // p99 2000 is at or above 3x 600.
+        let err = check(&valid(), &baselines(1200.0, 600.0)).unwrap_err();
+        assert!(err.contains("tail-latency regression"), "{err}");
+        // host.ops_per_sec 100.5 is below 50% of 250.
+        let base = Baselines {
+            host: Some(BTreeMap::from([(NAME.to_string(), 250.0)])),
+            ..Baselines::default()
+        };
+        let err = check(&valid(), &base).unwrap_err();
+        assert!(err.contains("host throughput regression"), "{err}");
+    }
+
+    fn args(a: &[&str]) -> Result<Args, String> {
+        parse_args(&a.iter().map(|s| s.to_string()).collect::<Vec<_>>())
+    }
+
+    #[test]
+    fn parses_baselines_and_reports() {
+        let a = args(&[
+            "--baseline",
+            "b.json",
+            "r.json",
+            "--host-baseline",
+            "h.json",
+        ])
+        .unwrap();
+        assert_eq!(a.baseline.as_deref(), Some("b.json"));
+        assert_eq!(a.host_baseline.as_deref(), Some("h.json"));
+        assert_eq!(a.paths, ["r.json"]);
+    }
+
+    #[test]
+    fn rejects_dangling_baselines_and_unknown_flags() {
+        for (a, err) in [
+            (&["r.json", "--baseline"][..], "--baseline needs a value"),
+            (
+                &["r.json", "--host-baseline"][..],
+                "--host-baseline needs a value",
+            ),
+            (
+                &["--baseline", "--host-baseline", "h.json", "r.json"][..],
+                "--baseline needs a value",
+            ),
+            (&["--fast", "r.json"][..], "unknown flag --fast"),
+            (&["--baseline", "b.json"][..], "no report given"),
+        ] {
+            assert_eq!(args(a), Err(err.to_string()), "{a:?}");
+        }
+    }
 }
