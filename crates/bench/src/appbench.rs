@@ -1,7 +1,8 @@
 //! Application benchmarks: the paper's §6.2 (Figures 11 and 12) plus the
 //! design-choice ablations DESIGN.md calls out.
 
-use crate::driver::{DocDriver, KvDriver};
+use crate::arm::{Arm, ArmOutput, Taps};
+use crate::driver::{BenchDriver, DocDriver, KvDriver};
 use crate::micro::{
     bench_group_config, gwrite_plan, gwrite_plan_flush, run_primitive, MicroOpts, SystemKind,
 };
@@ -10,15 +11,12 @@ use baseline::{NaiveChain, NaiveClient, NaiveConfig};
 use cpusched::{HogProfile, ProcKind, SchedConfig};
 use docstore::{DocConfig, ReplicatedDocStore};
 use hyperloop::apps::install_group_maintenance;
-use hyperloop::{GroupClient, HyperLoopGroup};
+use hyperloop::{GroupClient, GroupConfig, HyperLoopGroup};
 use kvstore::{KvConfig, ReplicatedKv};
 use netsim::NodeId;
-use simcore::simaudit::{HealthSummary, SeriesSummary};
-use simcore::{
-    HealthMonitor, Histogram, HostMeter, HostStats, LatencySummary, MetricsRegistry, SimDuration,
-    SimTime, SloConfig,
-};
-use testbed::{Cluster, ClusterConfig, ProcRef};
+use rnicsim::CqId;
+use simcore::{LatencySummary, MetricsRegistry, SimDuration, SimTime};
+use testbed::{Cluster, ClusterConfig};
 use ycsb::{Generator, Workload};
 
 /// The multi-tenant application environment: client node 0, replicas 1..=3,
@@ -54,58 +52,29 @@ fn replica_nodes() -> Vec<NodeId> {
     vec![NodeId(1), NodeId(2), NodeId(3)]
 }
 
-fn run_cluster_until_done(
-    sim: &mut simcore::Simulation<Cluster>,
-    driver: ProcRef,
-    is_hl: bool,
-    kv: bool,
-    health: &HealthMonitor,
-) -> Histogram {
-    let cap = SimTime::from_secs(1200);
-    loop {
-        let next = sim.now() + SimDuration::from_millis(20);
-        sim.run_until(next);
-        health.tick(sim.now());
-        let done = match (kv, is_hl) {
-            (true, true) => sim.model.app_mut::<KvDriver<GroupClient>>(driver).is_done(),
-            (true, false) => sim.model.app_mut::<KvDriver<NaiveClient>>(driver).is_done(),
-            (false, true) => sim
-                .model
-                .app_mut::<DocDriver<GroupClient>>(driver)
-                .is_done(),
-            (false, false) => sim
-                .model
-                .app_mut::<DocDriver<NaiveClient>>(driver)
-                .is_done(),
+/// A HyperLoop group over replicas 1..=3, maintained in the background.
+fn app_group(cluster: &mut Cluster) -> GroupClient {
+    let group = cluster.setup_fabric(|ctx| {
+        let cfg = GroupConfig {
+            shared_size: 16 << 20,
+            ..bench_group_config(16)
         };
-        if done {
-            break;
-        }
-        assert!(sim.now() < cap, "application run stalled");
-    }
-    assert_eq!(sim.model.fab.stats().errors, 0);
-    match (kv, is_hl) {
-        (true, true) => sim
-            .model
-            .app_mut::<KvDriver<GroupClient>>(driver)
-            .hist
-            .clone(),
-        (true, false) => sim
-            .model
-            .app_mut::<KvDriver<NaiveClient>>(driver)
-            .hist
-            .clone(),
-        (false, true) => sim
-            .model
-            .app_mut::<DocDriver<GroupClient>>(driver)
-            .hist
-            .clone(),
-        (false, false) => sim
-            .model
-            .app_mut::<DocDriver<NaiveClient>>(driver)
-            .hist
-            .clone(),
-    }
+        HyperLoopGroup::setup(ctx, NodeId(0), &replica_nodes(), cfg)
+    });
+    install_group_maintenance(cluster, group.replicas, SimDuration::from_nanos(400));
+    group.client
+}
+
+/// A Naive chain over replicas 1..=3 whose replicas run as `replica_kind`.
+fn app_naive(cluster: &mut Cluster, replica_kind: ProcKind) -> NaiveClient {
+    let cfg = NaiveConfig {
+        shared_size: 16 << 20,
+        window: 16,
+        prepost_depth: 768,
+        replica_kind,
+        ..NaiveConfig::default()
+    };
+    NaiveChain::setup(cluster, NodeId(0), &replica_nodes(), cfg).client
 }
 
 fn kv_config() -> KvConfig {
@@ -118,96 +87,73 @@ fn kv_config() -> KvConfig {
     }
 }
 
-/// Builds the cluster-wide metrics snapshot of a finished application run:
-/// every fabric/NVM/scheduler counter under `cluster.*` plus the op-latency
-/// histogram under `bench.op_latency`.
-fn cluster_snapshot(sim: &simcore::Simulation<Cluster>, hist: &Histogram) -> MetricsRegistry {
-    let mut reg = MetricsRegistry::new();
-    sim.model.export_into(&mut reg, "cluster");
-    reg.merge_histogram("bench.op_latency", hist);
-    reg
+/// Result of one application arm.
+#[derive(Debug, Clone)]
+pub struct AppResult {
+    /// Per-op latency distribution.
+    pub latency: LatencySummary,
+    /// Cluster-wide metrics snapshot: every fabric/NVM/scheduler counter
+    /// under `cluster.*`, the op-latency histogram under
+    /// `bench.op_latency` and the health counters under `health.*`.
+    pub registry: MetricsRegistry,
+    /// Host statistics, health and series of the run.
+    pub arm: ArmOutput,
+}
+
+/// Installs `driver` on the client node, bound to the chain's ack CQ, and
+/// runs the application arm until it has completed `ops` operations.
+fn run_app<D: BenchDriver>(
+    mut cluster: Cluster,
+    driver: D,
+    ack_cq: CqId,
+    ops: u64,
+    mut arm: Arm,
+) -> AppResult {
+    let p = cluster.add_app(NodeId(0), ProcKind::Polling, Box::new(driver));
+    cluster.bind_cq(p, NodeId(0), ack_cq, SimDuration::from_nanos(300));
+    let mut sim = cluster.into_sim();
+    arm.run_cluster(
+        &mut sim,
+        SimDuration::from_millis(20),
+        SimTime::from_secs(1200),
+        |c| c.app_mut::<D>(p).is_done(),
+    );
+    assert_eq!(sim.model.fab.stats().errors, 0);
+    let hist = sim.model.app_mut::<D>(p).hist().clone();
+    let mut registry = MetricsRegistry::new();
+    sim.model.export_into(&mut registry, "cluster");
+    registry.merge_histogram("bench.op_latency", &hist);
+    arm.health.export_into(&mut registry, "health");
+    AppResult {
+        latency: hist.summary(),
+        registry,
+        arm: arm.finish(ops, &sim),
+    }
 }
 
 /// One Fig. 11 arm: replicated RocksDB (kvstore) update latency under
-/// YCSB-A with co-located tenants. Returns the latency summary, a full
-/// cluster metrics snapshot and the host-side statistics of the run.
-pub fn run_fig11_arm(
-    kind: SystemKind,
-    writes: u64,
-    seed: u64,
-) -> (
-    LatencySummary,
-    MetricsRegistry,
-    HostStats,
-    HealthSummary,
-    SeriesSummary,
-) {
-    let meter = HostMeter::start();
-    // Observer-only per-shard SLO health: the driver records issue/ack
-    // edges and the run loop ticks the monitor on its poll cadence.
-    let health = HealthMonitor::new(SloConfig::default());
+/// YCSB-A with co-located tenants.
+pub fn run_fig11_arm(kind: SystemKind, writes: u64, seed: u64) -> AppResult {
+    let arm = Arm::new(Taps::default());
     let mut cluster = app_cluster(seed, 96);
-    let client_node = NodeId(0);
     let pace = SimDuration::from_micros(300);
     let gen = Generator::with_value_len(Workload::A, 4096, seed ^ 0xA5, 1024);
-    let (driver, is_hl) = match kind {
-        SystemKind::HyperLoop => {
-            let group = cluster.setup_fabric(|ctx| {
-                HyperLoopGroup::setup(
-                    ctx,
-                    client_node,
-                    &replica_nodes(),
-                    hyperloop::GroupConfig {
-                        shared_size: 16 << 20,
-                        ..bench_group_config(16)
-                    },
-                )
-            });
-            install_group_maintenance(&mut cluster, group.replicas, SimDuration::from_nanos(400));
-            let ack_cq = group.client.ack_cq();
-            let store = ReplicatedKv::new(group.client, kv_config());
-            let d = KvDriver::new(store, gen, writes, 50, pace).with_health(health.clone(), 0);
-            let p = cluster.add_app(client_node, ProcKind::Polling, Box::new(d));
-            cluster.bind_cq(p, client_node, ack_cq, SimDuration::from_nanos(300));
-            (p, true)
-        }
-        SystemKind::NaiveEvent | SystemKind::NaivePolling => {
-            let chain = NaiveChain::setup(
-                &mut cluster,
-                client_node,
-                &replica_nodes(),
-                NaiveConfig {
-                    shared_size: 16 << 20,
-                    window: 16,
-                    prepost_depth: 768,
-                    replica_kind: if kind == SystemKind::NaivePolling {
-                        ProcKind::Polling
-                    } else {
-                        ProcKind::EventDriven
-                    },
-                    ..NaiveConfig::default()
-                },
-            );
-            let ack_cq = chain.client.ack_cq();
-            let store = ReplicatedKv::new(chain.client, kv_config());
-            let d = KvDriver::new(store, gen, writes, 50, pace).with_health(health.clone(), 0);
-            let p = cluster.add_app(client_node, ProcKind::Polling, Box::new(d));
-            cluster.bind_cq(p, client_node, ack_cq, SimDuration::from_nanos(300));
-            (p, false)
-        }
-    };
-    let mut sim = cluster.into_sim();
-    let hist = run_cluster_until_done(&mut sim, driver, is_hl, true, &health);
-    let mut registry = cluster_snapshot(&sim, &hist);
-    health.export_into(&mut registry, "health");
-    let host = meter.finish(writes, sim.now().since(SimTime::ZERO), sim.queue.stats());
-    (
-        hist.summary(),
-        registry,
-        host,
-        health.summary(),
-        health.series(),
-    )
+    // Observer-only per-shard SLO health: the driver records issue/ack
+    // edges and the run loop ticks the monitor on its poll cadence.
+    let health = arm.health.clone();
+    if kind == SystemKind::HyperLoop {
+        let client = app_group(&mut cluster);
+        let ack_cq = client.ack_cq();
+        let store = ReplicatedKv::new(client, kv_config());
+        let d = KvDriver::new(store, gen, writes, 50, pace).with_health(health, 0);
+        run_app(cluster, d, ack_cq, writes, arm)
+    } else {
+        let client = app_naive(&mut cluster, kind.replica_kind());
+        let ack_cq = client.ack_cq();
+        let store = ReplicatedKv::new(client, kv_config());
+        let d = KvDriver::new(store, gen, writes, 50, pace).with_health(health, 0);
+        run_app(cluster, d, ack_cq, writes, arm)
+    }
 }
 
 /// Figure 11: replicated RocksDB update latency, three systems.
@@ -221,8 +167,8 @@ pub fn fig11(rep: &mut Report, quick: bool) {
         SystemKind::NaivePolling,
         SystemKind::HyperLoop,
     ] {
-        let (s, reg, host, health, series) = run_fig11_arm(kind, writes, 0xF11);
-        rep.line(latency_row(kind.label(), &s));
+        let r = run_fig11_arm(kind, writes, 0xF11);
+        rep.line(latency_row(kind.label(), &r.latency));
         rep.scenario(
             Scenario::new(format!("fig11/ycsb-a/{}", kind.label()))
                 .system(kind.label())
@@ -230,13 +176,11 @@ pub fn fig11(rep: &mut Report, quick: bool) {
                 .config("store", "kvstore")
                 .config("workload", "YCSB-A")
                 .config("writes", writes)
-                .latency(&s)
-                .health(health)
-                .series(series)
-                .host(host)
-                .metrics(reg),
+                .latency(&r.latency)
+                .arm(&r.arm)
+                .metrics(r.registry),
         );
-        p99s.push((kind, s.p99));
+        p99s.push((kind, r.latency.p99));
     }
     let hl = p99s[2].1;
     rep.line(format!(
@@ -256,83 +200,31 @@ fn doc_config() -> DocConfig {
 }
 
 /// One Fig. 12 arm: replicated MongoDB (docstore) latency for a YCSB
-/// workload, native (polling CPU replication) vs HyperLoop. Returns the
-/// latency summary, a full cluster metrics snapshot and the host-side
-/// statistics of the run.
-pub fn run_fig12_arm(
-    hl: bool,
-    workload: Workload,
-    ops: u64,
-    seed: u64,
-) -> (
-    LatencySummary,
-    MetricsRegistry,
-    HostStats,
-    HealthSummary,
-    SeriesSummary,
-) {
-    let meter = HostMeter::start();
-    let health = HealthMonitor::new(SloConfig::default());
+/// workload, native (polling CPU replication) vs HyperLoop.
+pub fn run_fig12_arm(hl: bool, workload: Workload, ops: u64, seed: u64) -> AppResult {
+    let arm = Arm::new(Taps::default());
     let mut cluster = app_cluster(seed, 96);
-    let client_node = NodeId(0);
     let stack = SimDuration::from_micros(150);
     let pace = SimDuration::from_micros(200);
     let gen = Generator::with_value_len(workload, 4096, seed ^ 0x12, 1024);
-    let (driver, is_hl) = if hl {
-        let group = cluster.setup_fabric(|ctx| {
-            HyperLoopGroup::setup(
-                ctx,
-                client_node,
-                &replica_nodes(),
-                hyperloop::GroupConfig {
-                    shared_size: 16 << 20,
-                    ..bench_group_config(16)
-                },
-            )
-        });
-        install_group_maintenance(&mut cluster, group.replicas, SimDuration::from_nanos(400));
-        let ack_cq = group.client.ack_cq();
-        let store = ReplicatedDocStore::new(group.client, doc_config(), 1);
-        let d = DocDriver::new(store, gen, ops, 50, stack, pace).with_health(health.clone(), 0);
-        let p = cluster.add_app(client_node, ProcKind::Polling, Box::new(d));
-        cluster.bind_cq(p, client_node, ack_cq, SimDuration::from_nanos(300));
-        (p, true)
+    let health = arm.health.clone();
+    if hl {
+        let client = app_group(&mut cluster);
+        let ack_cq = client.ack_cq();
+        let store = ReplicatedDocStore::new(client, doc_config(), 1);
+        let d = DocDriver::new(store, gen, ops, 50, stack, pace).with_health(health, 0);
+        run_app(cluster, d, ack_cq, ops, arm)
     } else {
-        let chain = NaiveChain::setup(
-            &mut cluster,
-            client_node,
-            &replica_nodes(),
-            NaiveConfig {
-                shared_size: 16 << 20,
-                window: 16,
-                prepost_depth: 768,
-                replica_kind: ProcKind::EventDriven,
-                ..NaiveConfig::default()
-            },
-        );
-        let ack_cq = chain.client.ack_cq();
-        let mut store = ReplicatedDocStore::new(chain.client, doc_config(), 1);
+        let client = app_naive(&mut cluster, ProcKind::EventDriven);
+        let ack_cq = client.ack_cq();
+        let mut store = ReplicatedDocStore::new(client, doc_config(), 1);
         // Native MongoDB: journal replication is the critical path; log
         // application is asynchronous (paper §5.2 description of vanilla
         // replication).
         store.set_mode(docstore::WriteMode::AppendOnly);
-        let d = DocDriver::new(store, gen, ops, 50, stack, pace).with_health(health.clone(), 0);
-        let p = cluster.add_app(client_node, ProcKind::Polling, Box::new(d));
-        cluster.bind_cq(p, client_node, ack_cq, SimDuration::from_nanos(300));
-        (p, false)
-    };
-    let mut sim = cluster.into_sim();
-    let hist = run_cluster_until_done(&mut sim, driver, is_hl, false, &health);
-    let mut registry = cluster_snapshot(&sim, &hist);
-    health.export_into(&mut registry, "health");
-    let host = meter.finish(ops, sim.now().since(SimTime::ZERO), sim.queue.stats());
-    (
-        hist.summary(),
-        registry,
-        host,
-        health.summary(),
-        health.series(),
-    )
+        let d = DocDriver::new(store, gen, ops, 50, stack, pace).with_health(health, 0);
+        run_app(cluster, d, ack_cq, ops, arm)
+    }
 }
 
 /// Figure 12: replicated MongoDB latency across YCSB workloads.
@@ -353,8 +245,9 @@ pub fn fig12(rep: &mut Report, quick: bool) {
     ));
     for (wi, w) in Workload::PAPER_SET.into_iter().enumerate() {
         let seed = 0xF12 + 101 * wi as u64;
-        let (nat, nat_reg, nat_host, nat_health, nat_series) = run_fig12_arm(false, w, ops, seed);
-        let (hl, hl_reg, hl_host, hl_health, hl_series) = run_fig12_arm(true, w, ops, seed);
+        let nat_arm = run_fig12_arm(false, w, ops, seed);
+        let hl_arm = run_fig12_arm(true, w, ops, seed);
+        let (nat, hl) = (nat_arm.latency, hl_arm.latency);
         let mean_cut = 100.0 * (1.0 - hl.mean.as_micros_f64() / nat.mean.as_micros_f64().max(1e-9));
         let gap_nat = nat.p99.as_micros_f64() - nat.mean.as_micros_f64();
         let gap_hl = hl.p99.as_micros_f64() - hl.mean.as_micros_f64();
@@ -371,10 +264,7 @@ pub fn fig12(rep: &mut Report, quick: bool) {
             mean_cut,
             gap_cut,
         ));
-        for (label, s, reg, host, health, series) in [
-            ("native", &nat, nat_reg, nat_host, nat_health, nat_series),
-            ("HyperLoop", &hl, hl_reg, hl_host, hl_health, hl_series),
-        ] {
+        for (label, r) in [("native", nat_arm), ("HyperLoop", hl_arm)] {
             rep.scenario(
                 Scenario::new(format!("fig12/{w}/{label}"))
                     .system(label)
@@ -382,11 +272,9 @@ pub fn fig12(rep: &mut Report, quick: bool) {
                     .config("store", "docstore")
                     .config("workload", w.to_string())
                     .config("ops", ops)
-                    .latency(s)
-                    .health(health)
-                    .series(series)
-                    .host(host)
-                    .metrics(reg),
+                    .latency(&r.latency)
+                    .arm(&r.arm)
+                    .metrics(r.registry),
             );
         }
     }
@@ -420,10 +308,8 @@ pub fn ablations(rep: &mut Report, quick: bool) {
             .config("payload_bytes", 1024u64)
             .config("flush", flush)
             .latency(&r.latency)
-            .health(r.health.clone())
-            .series(r.series.clone())
-            .host(r.host.clone())
-            .metrics(r.registry.clone()),
+            .arm(&r.arm)
+            .metrics(r.registry),
         );
     }
 
@@ -433,10 +319,9 @@ pub fn ablations(rep: &mut Report, quick: bool) {
         "replicas", "chain p50", "fan-out p50"
     ));
     for gs in [3u32, 5, 7] {
-        let (chain, chain_host, chain_tel) =
-            crate::fanout_ablation::chain_write_latency(gs, if quick { 200 } else { 800 });
-        let (fan, fan_host, _fan_tel) =
-            crate::fanout_ablation::fanout_write_latency(gs, if quick { 200 } else { 800 });
+        let ops = if quick { 200 } else { 800 };
+        let (chain, chain_arm) = crate::fanout_ablation::chain_write_latency(gs, ops);
+        let (fan, fan_arm) = crate::fanout_ablation::fanout_write_latency(gs, ops);
         rep.line(format!("{:<8} {:>14} {:>14}", gs, us(chain), us(fan)));
         // Two runs, one scenario: fold their host meters into one block.
         // The health/series blocks come from the chain arm (the paper's
@@ -446,9 +331,8 @@ pub fn ablations(rep: &mut Report, quick: bool) {
                 .config("group_size", gs)
                 .gauge("chain_p50_ns", chain.as_nanos() as f64)
                 .gauge("fanout_p50_ns", fan.as_nanos() as f64)
-                .health(chain_tel.health)
-                .series(chain_tel.series)
-                .host(chain_host.merged(&fan_host)),
+                .arm(&chain_arm)
+                .host(chain_arm.host.merged(&fan_arm.host)),
         );
     }
 
@@ -458,8 +342,7 @@ pub fn ablations(rep: &mut Report, quick: bool) {
         "serving replicas", "8KB reads/s", "aggregate"
     ));
     for n in [1u32, 2, 3] {
-        let (rps, host, tel) =
-            crate::fanout_ablation::read_scaling(n, if quick { 1000 } else { 4000 });
+        let (rps, arm) = crate::fanout_ablation::read_scaling(n, if quick { 1000 } else { 4000 });
         rep.line(format!(
             "{:<18} {:>12.0} {:>7.1} Gbps",
             n,
@@ -471,9 +354,7 @@ pub fn ablations(rep: &mut Report, quick: bool) {
                 .config("serving_replicas", n)
                 .config("read_bytes", 8192u64)
                 .gauge("reads_per_sec", rps)
-                .health(tel.health)
-                .series(tel.series)
-                .host(host),
+                .arm(&arm),
         );
     }
 
@@ -507,9 +388,7 @@ pub fn ablations(rep: &mut Report, quick: bool) {
                     .config("hogs_per_node", hogs)
                     .config("payload_bytes", 1024u64)
                     .latency(&r.latency)
-                    .health(r.health.clone())
-                    .series(r.series.clone())
-                    .host(r.host.clone())
+                    .arm(&r.arm)
                     .metrics(r.registry.clone()),
             );
         }

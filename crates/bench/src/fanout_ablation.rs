@@ -1,35 +1,40 @@
 //! Chain vs fan-out replication latency (paper §7: chain balances NIC load;
 //! fan-out trades per-hop pipelining for primary-side parallelism).
 
+use crate::arm::{Arm, ArmOutput, Taps};
 use hyperloop::fanout::FanoutGroup;
 use hyperloop::harness::{drive, fabric_sim};
 use hyperloop::{GroupConfig, GroupOp, HyperLoopGroup};
 use netsim::{FabricConfig, NodeId};
 use rnicsim::{NicConfig, Payload};
-use simcore::simaudit::{HealthSummary, SeriesSummary};
-use simcore::{HealthMonitor, HostMeter, HostStats, SimDuration, SimTime, SloConfig};
+use simcore::{Histogram, Model, SimDuration, SimTime, Simulation};
 
-/// Health/series telemetry of one ablation run, bundled so the raw loops
-/// can return it next to their headline numbers.
-#[derive(Debug, Clone)]
-pub struct AblationTelemetry {
-    /// Per-shard SLO health (single shard 0 for these single-chain runs).
-    pub health: HealthSummary,
-    /// Windowed telemetry series sampled once per bench-loop iteration.
-    pub series: SeriesSummary,
-}
-
-fn telemetry(health: &HealthMonitor) -> AblationTelemetry {
-    AblationTelemetry {
-        health: health.summary(),
-        series: health.series(),
+/// Times `ops` writes issued one at a time: `write(sim, i)` issues op `i`
+/// and runs it to its ack. Each latency feeds the histogram and shard 0's
+/// health.
+fn time_serial<M: Model>(
+    sim: &mut Simulation<M>,
+    arm: &Arm,
+    ops: u64,
+    mut write: impl FnMut(&mut Simulation<M>, u64),
+) -> Histogram {
+    let mut hist = Histogram::new();
+    for i in 0..ops {
+        let t0 = sim.now();
+        arm.health.record_issue(t0, 0);
+        write(sim, i);
+        let lat = sim.now().since(t0);
+        hist.record(lat);
+        arm.health.record_ack(sim.now(), 0, lat);
+        arm.health.tick(sim.now());
     }
+    hist
 }
 
 /// Median latency of durable 1 KB chain writes over `gs` replicas, plus
-/// the host-side statistics and telemetry of the run.
-pub fn chain_write_latency(gs: u32, ops: u64) -> (SimDuration, HostStats, AblationTelemetry) {
-    let meter = HostMeter::start();
+/// the harness output of the run.
+pub fn chain_write_latency(gs: u32, ops: u64) -> (SimDuration, ArmOutput) {
+    let arm = Arm::new(Taps::default());
     let mut sim = fabric_sim(
         gs + 1,
         64 << 20,
@@ -50,40 +55,26 @@ pub fn chain_write_latency(gs: u32, ops: u64) -> (SimDuration, HostStats, Ablati
         )
     });
     sim.run();
-    let health = HealthMonitor::new(SloConfig::default());
-    let mut hist = simcore::Histogram::new();
-    for i in 0..ops {
-        let t0 = sim.now();
-        health.record_issue(t0, 0);
-        drive(&mut sim, |ctx| {
-            group
-                .client
-                .issue(
-                    ctx,
-                    GroupOp::Write {
-                        offset: (i % 16) * 4096,
-                        data: Payload::filled(1, 1024),
-                        flush: true,
-                    },
-                )
-                .unwrap()
+    let hist = time_serial(&mut sim, &arm, ops, |sim, i| {
+        drive(sim, |ctx| {
+            let op = GroupOp::Write {
+                offset: (i % 16) * 4096,
+                data: Payload::filled(1, 1024),
+                flush: true,
+            };
+            group.client.issue(ctx, op).unwrap()
         });
         sim.run();
-        drive(&mut sim, |ctx| group.client.poll(ctx));
-        let lat = sim.now().since(t0);
-        hist.record(lat);
-        health.record_ack(sim.now(), 0, lat);
-        health.tick(sim.now());
-    }
-    let host = meter.finish(ops, sim.now().since(SimTime::ZERO), sim.queue.stats());
-    (hist.p50(), host, telemetry(&health))
+        drive(sim, |ctx| group.client.poll(ctx));
+    });
+    (hist.p50(), arm.finish(ops, &sim))
 }
 
 /// Median latency of durable 1 KB fan-out writes over a primary plus
 /// `gs - 1` backups (same total copy count as the chain), plus the
-/// host-side statistics and telemetry of the run.
-pub fn fanout_write_latency(gs: u32, ops: u64) -> (SimDuration, HostStats, AblationTelemetry) {
-    let meter = HostMeter::start();
+/// harness output of the run.
+pub fn fanout_write_latency(gs: u32, ops: u64) -> (SimDuration, ArmOutput) {
+    let arm = Arm::new(Taps::default());
     let backups: Vec<NodeId> = (2..=gs).map(NodeId).collect();
     let mut sim = fabric_sim(
         gs + 1,
@@ -105,28 +96,17 @@ pub fn fanout_write_latency(gs: u32, ops: u64) -> (SimDuration, HostStats, Ablat
         )
     });
     sim.run();
-    let health = HealthMonitor::new(SloConfig::default());
-    let mut hist = simcore::Histogram::new();
-    for i in 0..ops {
-        let t0 = sim.now();
-        health.record_issue(t0, 0);
-        drive(&mut sim, |ctx| {
+    let hist = time_serial(&mut sim, &arm, ops, |sim, i| {
+        drive(sim, |ctx| {
             group.client.write(ctx, (i % 16) * 4096, &[1; 1024], true)
         });
         sim.run();
-        drive(&mut sim, |ctx| group.client.poll(ctx));
-        let lat = sim.now().since(t0);
-        hist.record(lat);
-        health.record_ack(sim.now(), 0, lat);
-        health.tick(sim.now());
+        drive(sim, |ctx| group.client.poll(ctx));
         if i % 128 == 0 {
-            drive(&mut sim, |ctx| {
-                group.primary.replenish(ctx, 128);
-            });
+            drive(sim, |ctx| group.primary.replenish(ctx, 128));
         }
-    }
-    let host = meter.finish(ops, sim.now().since(SimTime::ZERO), sim.queue.stats());
-    (hist.p50(), host, telemetry(&health))
+    });
+    (hist.p50(), arm.finish(ops, &sim))
 }
 
 /// Beyond the paper's figures: aggregate read bandwidth when three reader
@@ -134,13 +114,10 @@ pub fn fanout_write_latency(gs: u32, ops: u64) -> (SimDuration, HostStats, Ablat
 /// the §5 claim that keeping replicas strongly consistent lets *every*
 /// replica serve reads. Lock-free one-sided reads (the FaRM-style path the
 /// paper also supports); the locked path is exercised by
-/// `hyperloop::reads` tests. Returns reads/sec plus the host-side
-/// statistics and telemetry of the run.
-pub fn read_scaling(
-    serving_replicas: u32,
-    total_reads: u64,
-) -> (f64, HostStats, AblationTelemetry) {
-    let meter = HostMeter::start();
+/// `hyperloop::reads` tests. Returns reads/sec plus the harness output of
+/// the run.
+pub fn read_scaling(serving_replicas: u32, total_reads: u64) -> (f64, ArmOutput) {
+    let arm = Arm::new(Taps::default());
     use rnicsim::{wqe_flags, Opcode, Wqe};
 
     // Nodes: 3 replicas (1..=3) + 3 reader clients (4..=6).
@@ -181,7 +158,7 @@ pub fn read_scaling(
         }
     }
 
-    let health = HealthMonitor::new(SloConfig::default());
+    let health = &arm.health;
     let mut sent_at: Vec<SimTime> = vec![SimTime::ZERO; total_reads as usize];
     let t0 = sim.now();
     let mut done = 0u64;
@@ -226,14 +203,6 @@ pub fn read_scaling(
         health.tick(sim.now());
     }
     assert_eq!(sim.model.fab.stats().errors, 0);
-    let host = meter.finish(
-        total_reads,
-        sim.now().since(SimTime::ZERO),
-        sim.queue.stats(),
-    );
-    (
-        total_reads as f64 / sim.now().since(t0).as_secs_f64(),
-        host,
-        telemetry(&health),
-    )
+    let rps = total_reads as f64 / sim.now().since(t0).as_secs_f64();
+    (rps, arm.finish(total_reads, &sim))
 }

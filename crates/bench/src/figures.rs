@@ -106,14 +106,10 @@ fn micro_scenario(name: String, kind: SystemKind, opts: &MicroOpts, r: &MicroRes
         .latency(&r.latency)
         .gauge("ops_per_sec", r.ops_per_sec())
         .gauge("replica_cpu", r.replica_cpu)
-        .health(r.health.clone())
-        .series(r.series.clone())
-        .host(r.host.clone())
+        .arm(&r.arm)
         .metrics(r.registry.clone());
-    if let Some(tr) = &r.trace {
-        sc = sc
-            .stage_attribution(tr.attribution.clone())
-            .tail(tr.tail.clone());
+    if let Some(tr) = &r.arm.trace {
+        sc = sc.stage_attribution(tr.attribution.clone());
     }
     sc
 }

@@ -17,6 +17,7 @@
 //! fastpath's call density the timers' own clock reads would dominate
 //! the number they are trying to measure.
 
+use crate::arm::Artifact;
 use crate::micro::{gwrite_plan_flush, run_primitive, MicroOpts, SystemKind};
 use crate::report::{Report, Scenario};
 use simcore::{hostprof, SimDuration};
@@ -66,7 +67,7 @@ pub fn hostperf(rep: &mut Report, quick: bool) {
         // scopes: the allocator hooks and queue stats are always-on.
         hostprof::reset();
         let r = run_primitive(SystemKind::HyperLoop, gwrite_plan_flush(1024, false), opts);
-        let h = &r.host;
+        let h = &r.arm.host;
         rep.line(format!(
             "{:<8} {:>12.0} {:>14.0} {:>16.0} {:>12.2} {:>9.1}%",
             ops,
@@ -90,27 +91,20 @@ pub fn hostperf(rep: &mut Report, quick: bool) {
             rep.write_trace(&format!("HOST_hostperf_{ops}.txt"), &folded)
                 .expect("write folded stacks");
         }
-        let mut sc = Scenario::new(format!("hostperf/{ops}"))
-            .system(SystemKind::HyperLoop.label())
-            .seed(opts.seed)
-            .config("primitive", "gWRITE")
-            .config("payload_bytes", 1024u64)
-            .config("ops", ops)
-            .config("window", opts.window)
-            .latency(&r.latency)
-            .gauge("ops_per_sec", r.ops_per_sec())
-            .gauge("replica_cpu", r.replica_cpu)
-            .health(r.health.clone())
-            .series(r.series.clone())
-            .host(r.host.clone());
-        if let Some(tr) = &r.trace {
-            rep.write_trace(
-                &format!("TAIL_hostperf_{ops}.json"),
-                &tr.tail.to_artifact_json(&format!("hostperf/{ops}")),
-            )
-            .expect("trace sink writable");
-            sc = sc.tail(tr.tail.clone());
-        }
-        rep.scenario(sc);
+        let name = format!("hostperf/{ops}");
+        r.arm.write_artifacts(rep, &name, &[Artifact::Tail]);
+        rep.scenario(
+            Scenario::new(name)
+                .system(SystemKind::HyperLoop.label())
+                .seed(opts.seed)
+                .config("primitive", "gWRITE")
+                .config("payload_bytes", 1024u64)
+                .config("ops", ops)
+                .config("window", opts.window)
+                .latency(&r.latency)
+                .gauge("ops_per_sec", r.ops_per_sec())
+                .gauge("replica_cpu", r.replica_cpu)
+                .arm(&r.arm),
+        );
     }
 }

@@ -27,6 +27,10 @@
 //! transaction commit/abort throughput vs contention over both commit
 //! paths of the `hyperloop::txn` layer.
 //!
+//! Every runner drives its arms through one lifecycle, [`arm`]: host
+//! meter, audit/trace/health taps, the bare re-run that measures the
+//! observability tax, the post-run folds and the per-arm artifact files.
+//!
 //! The only unsafe code in the crate is the counting global allocator in
 //! [`hostalloc`]; everything else stays `deny(unsafe_code)`.
 
@@ -34,6 +38,7 @@
 #![warn(missing_docs)]
 
 pub mod appbench;
+pub mod arm;
 pub mod driver;
 pub mod exp;
 pub mod fanout_ablation;

@@ -7,14 +7,14 @@
 //! contention is *endogenous*: the co-located replica processes themselves
 //! fight for the servers' cores — no synthetic background load.
 
-use crate::driver::DocDriver;
+use crate::arm::{Arm, ArmOutput, Taps};
+use crate::driver::{BenchDriver, DocDriver};
 use crate::report::{us, Report, Scenario};
 use baseline::{NaiveChain, NaiveClient, NaiveConfig, NaiveCosts};
 use cpusched::{ProcKind, SchedConfig};
 use docstore::{DocConfig, ReplicatedDocStore, WriteMode};
 use netsim::NodeId;
-use simcore::simaudit::{HealthSummary, SeriesSummary};
-use simcore::{HealthMonitor, Histogram, HostMeter, HostStats, SimDuration, SimTime, SloConfig};
+use simcore::{Histogram, SimDuration, SimTime};
 use testbed::{Cluster, ClusterConfig, ProcRef};
 use ycsb::{Generator, Workload};
 
@@ -29,12 +29,9 @@ pub struct Fig2Point {
     pub latency: simcore::LatencySummary,
     /// Server context switches per second of simulated time.
     pub ctx_per_sec: f64,
-    /// Host-side (wall-clock) statistics of the run.
-    pub host: HostStats,
-    /// Per-replica-set SLO health (each set tracked as its own shard).
-    pub health: HealthSummary,
-    /// Windowed telemetry series sampled on the run-loop cadence.
-    pub series: SeriesSummary,
+    /// Host statistics, per-replica-set SLO health (each set tracked as
+    /// its own shard) and series.
+    pub arm: ArmOutput,
 }
 
 /// The per-op CPU profile of a MongoDB-like replica: command parsing, BSON
@@ -61,7 +58,7 @@ fn doc_config() -> DocConfig {
 /// document stores over three `cores`-core servers, each driven closed-loop
 /// with `ops_per_set` YCSB-A operations.
 pub fn run_fig2_point(replica_sets: u32, cores: u32, ops_per_set: u64, seed: u64) -> Fig2Point {
-    let meter = HostMeter::start();
+    let mut arm = Arm::new(Taps::default());
     let servers = [NodeId(0), NodeId(1), NodeId(2)];
     let clients = [NodeId(3), NodeId(4), NodeId(5)];
     let mut cluster = Cluster::new(
@@ -78,9 +75,6 @@ pub fn run_fig2_point(replica_sets: u32, cores: u32, ops_per_set: u64, seed: u64
         },
     );
 
-    // Observer-only SLO health: each replica set is tracked as its own
-    // shard, so the series block shows the per-set contention signature.
-    let health = HealthMonitor::new(SloConfig::default());
     let mut drivers: Vec<ProcRef> = Vec::new();
     for set in 0..replica_sets {
         // Rotate the chain across the servers (primary placement balance).
@@ -112,26 +106,25 @@ pub fn run_fig2_point(replica_sets: u32, cores: u32, ops_per_set: u64, seed: u64
             SimDuration::ZERO, // closed loop: YCSB at full throttle
         )
         .with_concurrency(8) // YCSB client threads per set
-        .with_health(health.clone(), set);
+        // Observer-only SLO health: each replica set is tracked as its own
+        // shard, so the series block shows the per-set contention signature.
+        .with_health(arm.health.clone(), set);
         let p = cluster.add_app(client_node, ProcKind::EventDriven, Box::new(d));
         cluster.bind_cq(p, client_node, ack_cq, SimDuration::from_micros(1));
         drivers.push(p);
     }
 
     let mut sim = cluster.into_sim();
-    let cap = SimTime::from_secs(3600);
-    loop {
-        let next = sim.now() + SimDuration::from_millis(50);
-        sim.run_until(next);
-        health.tick(sim.now());
-        let all_done = drivers
-            .iter()
-            .all(|&p| sim.model.app_mut::<DocDriver<NaiveClient>>(p).is_done());
-        if all_done {
-            break;
-        }
-        assert!(sim.now() < cap, "fig2 run stalled");
-    }
+    arm.run_cluster(
+        &mut sim,
+        SimDuration::from_millis(50),
+        SimTime::from_secs(3600),
+        |c| {
+            drivers
+                .iter()
+                .all(|&p| c.app_mut::<DocDriver<NaiveClient>>(p).is_done())
+        },
+    );
     assert_eq!(sim.model.fab.stats().errors, 0);
 
     let mut pooled = Histogram::new();
@@ -143,19 +136,12 @@ pub fn run_fig2_point(replica_sets: u32, cores: u32, ops_per_set: u64, seed: u64
         .iter()
         .map(|&s| sim.model.sched(s).stats().context_switches)
         .sum();
-    let host = meter.finish(
-        ops_per_set * replica_sets as u64,
-        sim.now().since(SimTime::ZERO),
-        sim.queue.stats(),
-    );
     Fig2Point {
         replica_sets,
         cores,
         latency: pooled.summary(),
         ctx_per_sec: ctx as f64 / elapsed,
-        host,
-        health: health.summary(),
-        series: health.series(),
+        arm: arm.finish(ops_per_set * u64::from(replica_sets), &sim),
     }
 }
 
@@ -188,9 +174,7 @@ fn report_points(rep: &mut Report, fig: &str, seed: u64, points: &[Fig2Point], v
                 .config("cores", p.cores)
                 .latency(&p.latency)
                 .gauge("ctx_per_sec", p.ctx_per_sec)
-                .health(p.health.clone())
-                .series(p.series.clone())
-                .host(p.host.clone()),
+                .arm(&p.arm),
         );
     }
 }

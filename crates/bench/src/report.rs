@@ -8,6 +8,7 @@
 //! snapshot). When the binary was given `--json <path>`, [`Report::finish`]
 //! serializes all scenarios with [`simcore::jsonw::JsonWriter`].
 
+use crate::arm::ArmOutput;
 use simcore::jsonw::JsonWriter;
 use simcore::simaudit::{HealthSummary, SeriesSummary};
 use simcore::simprof::{StageAttribution, TxnAttribution};
@@ -152,6 +153,16 @@ impl Scenario {
         self
     }
 
+    /// Attaches an arm's harness output: the health, series and host
+    /// blocks, plus the tail profile when the arm was traced.
+    pub fn arm(mut self, out: &ArmOutput) -> Self {
+        self.health = Some(out.health.clone());
+        self.series = Some(out.series.clone());
+        self.host = Some(out.host.clone());
+        self.tail = out.trace.as_ref().map(|t| t.tail.clone());
+        self
+    }
+
     /// Attaches a full metrics-registry snapshot of the simulated cluster.
     pub fn metrics(mut self, reg: MetricsRegistry) -> Self {
         self.metrics = Some(reg);
@@ -180,16 +191,6 @@ impl Scenario {
     /// `total`.
     pub fn abort_causes(mut self, causes: Vec<(String, u64)>) -> Self {
         self.abort_causes = Some(causes);
-        self
-    }
-
-    /// Attaches the run's tail-latency profile (exact population
-    /// quantiles, closed-sum cause counters, slowest exemplars with
-    /// their excess breakdowns). Serialized as a `tail` block in the
-    /// scenario JSON; span-tree detail goes to the `TAIL_*.json`
-    /// artifact instead.
-    pub fn tail(mut self, t: TailProfile) -> Self {
-        self.tail = Some(t);
         self
     }
 }
@@ -257,17 +258,12 @@ impl Report {
         self.trace_dir.is_some()
     }
 
-    /// True when a JSON sink was requested.
-    pub fn json_enabled(&self) -> bool {
-        self.json_path.is_some()
-    }
-
     /// True when runs should capture causal traces: either trace artifacts
     /// were requested outright, or a JSON sink was (every `BENCH_*.json`
     /// scenario carries a `stage_attribution` block when its runner can
     /// trace).
     pub fn profile_enabled(&self) -> bool {
-        self.trace_enabled() || self.json_enabled()
+        self.trace_enabled() || self.json_path.is_some()
     }
 
     /// Writes one trace artifact (`file_name` with `/` mapped to `_`) into
@@ -296,16 +292,6 @@ impl Report {
     /// Records one machine-readable scenario.
     pub fn scenario(&mut self, s: Scenario) {
         self.scenarios.push(s);
-    }
-
-    /// Number of scenarios recorded so far.
-    pub fn len(&self) -> usize {
-        self.scenarios.len()
-    }
-
-    /// True when no scenario has been recorded.
-    pub fn is_empty(&self) -> bool {
-        self.scenarios.is_empty()
     }
 
     /// Serializes the report (header plus all scenarios) to a JSON string.

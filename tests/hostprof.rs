@@ -206,7 +206,7 @@ fn report_json(profile: bool) -> String {
             .latency(&r.latency)
             .gauge("ops_per_sec", r.ops_per_sec())
             .gauge("replica_cpu", r.replica_cpu)
-            .host(r.host.clone())
+            .host(r.arm.host.clone())
             .metrics(r.registry.clone()),
     );
     rep.to_json()

@@ -71,7 +71,7 @@ fn shardscale_tail_profile_holds_its_invariants() {
             ..ShardScaleOpts::default()
         },
     );
-    let trace = r.trace.as_ref().expect("traced arm carries artifacts");
+    let trace = r.arm.trace.as_ref().expect("traced arm carries artifacts");
     assert_tail_invariants(&trace.tail);
     assert!(trace.tail.tail_ops > 0, "a 1024-op run has a tail");
 
@@ -93,7 +93,12 @@ fn migration_pause_dominates_the_migrate_tail() {
             ..MigrateOpts::default()
         },
     );
-    let tail = r.tail.as_ref().expect("traced arm carries a tail profile");
+    let tail = &r
+        .arm
+        .trace
+        .as_ref()
+        .expect("traced arm carries a tail profile")
+        .tail;
     assert_tail_invariants(tail);
     // Ops parked in the holding pen across the cutover are the slowest in
     // the run; the attributor must blame the pause, not a queue stage.
@@ -114,8 +119,8 @@ fn migration_pause_dominates_the_migrate_tail() {
 #[test]
 fn series_is_bounded_and_strictly_monotonic() {
     let r = run_shardscale(3, ShardScaleOpts::default());
-    assert!(!r.series.shards.is_empty(), "series must carry shards");
-    for shard in &r.series.shards {
+    assert!(!r.arm.series.shards.is_empty(), "series must carry shards");
+    for shard in &r.arm.series.shards {
         assert!(shard.points.len() <= SERIES_CAP);
         assert!(!shard.points.is_empty(), "every shard gets sampled");
         let mut prev = None;
@@ -143,9 +148,9 @@ fn tracing_is_observer_only_for_shardscale() {
     // and the counter sampling never touch the event queue or the RNG.
     assert_eq!(base.latency, traced.latency);
     assert_eq!(base.per_shard_acked, traced.per_shard_acked);
-    assert_eq!(base.health, traced.health);
-    assert_eq!(base.series, traced.series);
-    assert_eq!(base.series.to_json(), traced.series.to_json());
+    assert_eq!(base.arm.health, traced.arm.health);
+    assert_eq!(base.arm.series, traced.arm.series);
+    assert_eq!(base.arm.series.to_json(), traced.arm.series.to_json());
 
     // Byte identity over the blocks both arms carry (tail itself is
     // trace-gated; host fields are volatile and canonicalized away).
@@ -156,9 +161,9 @@ fn tracing_is_observer_only_for_shardscale() {
                 .system("HyperLoop")
                 .latency(&r.latency)
                 .gauge("ops_per_sec", r.ops_per_sec())
-                .health(r.health.clone())
-                .series(r.series.clone())
-                .host(r.host.clone())
+                .health(r.arm.health.clone())
+                .series(r.arm.series.clone())
+                .host(r.arm.host.clone())
                 .metrics(r.registry.clone()),
         );
         canonicalize_report(&rep.to_json()).expect("canonicalize")
