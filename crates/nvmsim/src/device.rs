@@ -7,6 +7,7 @@
 //! are really lost.
 
 use crate::overlay::DirtyOverlay;
+use simcore::spanset::SpanSet;
 use std::fmt;
 
 /// Error type for out-of-range NVM accesses.
@@ -102,6 +103,7 @@ impl NvmDevice {
         self.stats
     }
 
+    #[inline]
     fn check(&self, offset: u64, len: u64) -> Result<(), AccessOutOfBoundsError> {
         if offset
             .checked_add(len)
@@ -121,6 +123,7 @@ impl NvmDevice {
     /// # Errors
     ///
     /// Returns [`AccessOutOfBoundsError`] if the range exceeds capacity.
+    #[inline]
     pub fn write(&mut self, offset: u64, data: &[u8]) -> Result<(), AccessOutOfBoundsError> {
         let _t = simcore::hostprof::scope("nvmsim.write");
         self.check(offset, data.len() as u64)?;
@@ -142,6 +145,7 @@ impl NvmDevice {
     /// # Errors
     ///
     /// Returns [`AccessOutOfBoundsError`] if the range exceeds capacity.
+    #[inline]
     pub fn write_durable(
         &mut self,
         offset: u64,
@@ -163,6 +167,7 @@ impl NvmDevice {
     /// # Errors
     ///
     /// Returns [`AccessOutOfBoundsError`] if the range exceeds capacity.
+    #[inline]
     pub fn read(&mut self, offset: u64, buf: &mut [u8]) -> Result<(), AccessOutOfBoundsError> {
         let _t = simcore::hostprof::scope("nvmsim.read");
         self.check(offset, buf.len() as u64)?;
@@ -214,6 +219,41 @@ impl NvmDevice {
             stats.bytes_flushed += bytes.len() as u64;
             durable[o as usize..o as usize + bytes.len()].copy_from_slice(bytes);
         });
+        Ok(())
+    }
+
+    /// Commits the volatile bytes under `spans`, counted as `ranges`
+    /// flush operations.
+    ///
+    /// Observably identical to `ranges` calls of [`NvmDevice::flush_range`]
+    /// whose union is `spans`: each volatile byte is taken once either way,
+    /// so the durable bytes and [`NvmStats`] come out the same. This lets
+    /// a caller that accumulates many small dirty ranges keep only their
+    /// merged union.
+    ///
+    /// # Errors
+    ///
+    /// Returns [`AccessOutOfBoundsError`] for the first span that exceeds
+    /// capacity, before anything is flushed.
+    pub fn flush_spans(
+        &mut self,
+        spans: &SpanSet,
+        ranges: u64,
+    ) -> Result<(), AccessOutOfBoundsError> {
+        let _t = simcore::hostprof::scope("nvmsim.flush");
+        for &(start, end) in spans.spans() {
+            self.check(start, end - start)?;
+        }
+        self.stats.flushes += ranges;
+        let stats = &mut self.stats;
+        let durable = &mut self.durable;
+        for &(start, end) in spans.spans() {
+            self.volatile
+                .take_range_with(start, end - start, |o, bytes| {
+                    stats.bytes_flushed += bytes.len() as u64;
+                    durable[o as usize..o as usize + bytes.len()].copy_from_slice(bytes);
+                });
+        }
         Ok(())
     }
 
@@ -301,6 +341,43 @@ mod tests {
         let mut nvm = NvmDevice::new(64);
         nvm.write_durable(5, b"xy").unwrap();
         assert!(nvm.is_durable(5, 2).unwrap());
+    }
+
+    #[test]
+    fn flushing_spans_equals_flushing_each_range() {
+        let ranges = [(0u64, 8u64), (4, 8), (20, 4), (24, 4), (40, 2)];
+        let mut each = NvmDevice::new(64);
+        let mut union = NvmDevice::new(64);
+        let mut spans = SpanSet::new();
+        for (i, &(o, l)) in ranges.iter().enumerate() {
+            let data = vec![i as u8 + 1; l as usize];
+            each.write(o, &data).unwrap();
+            union.write(o, &data).unwrap();
+            spans.insert(o, o + l);
+        }
+        // A write outside every range stays volatile in both.
+        each.write(50, b"zz").unwrap();
+        union.write(50, b"zz").unwrap();
+        for &(o, l) in &ranges {
+            each.flush_range(o, l).unwrap();
+        }
+        union.flush_spans(&spans, ranges.len() as u64).unwrap();
+        assert_eq!(spans.len(), 3);
+        assert_eq!(each.stats(), union.stats());
+        assert_eq!(each.volatile_bytes(), 2);
+        assert_eq!(union.volatile_bytes(), 2);
+        assert_eq!(
+            each.read_durable_vec(0, 64).unwrap(),
+            union.read_durable_vec(0, 64).unwrap()
+        );
+        let mut oob = SpanSet::new();
+        oob.insert(60, 70);
+        assert!(union.flush_spans(&oob, 1).is_err());
+        assert_eq!(
+            union.stats(),
+            each.stats(),
+            "a failed flush changes nothing"
+        );
     }
 
     #[test]

@@ -13,6 +13,7 @@
 //! * Incoming payloads land in the NVM's volatile layer tagged as NIC-dirty;
 //!   only an incoming READ (the paper's `gFLUSH`) pushes them to durability.
 
+use crate::dirty::NicDirty;
 use crate::payload::{self, Payload};
 use crate::types::{
     wqe_flags, CqId, Cqe, CqeStatus, FabricStats, Message, MrId, NicConfig, NicEffect, NicEvent,
@@ -83,7 +84,7 @@ struct NodeState {
     cqs: Vec<Cq>,
     srqs: Vec<VecDeque<RecvWqe>>,
     /// Ranges written through the NIC since the last flush.
-    nic_dirty: Vec<(u64, u64)>,
+    nic_dirty: NicDirty,
 }
 
 /// The whole RDMA-connected cluster: NICs, host memories, network.
@@ -127,7 +128,7 @@ impl RdmaFabric {
                     qps: Vec::new(),
                     cqs: Vec::new(),
                     srqs: Vec::new(),
-                    nic_dirty: Vec::new(),
+                    nic_dirty: NicDirty::default(),
                 })
                 .collect(),
             stats: FabricStats::default(),
@@ -153,10 +154,9 @@ impl RdmaFabric {
                 .export_into(reg, &format!("{prefix}.nvm.node{i}"));
             // Bytes sitting in the NIC volatile cache awaiting a gFLUSH —
             // a point-in-time depth for counter-track sampling.
-            let dirty: u64 = n.nic_dirty.iter().map(|&(_, len)| len).sum();
             reg.set_gauge(
                 &format!("{prefix}.nvm.node{i}.nic_dirty_bytes"),
-                dirty as f64,
+                n.nic_dirty.bytes() as f64,
             );
         }
     }
@@ -973,7 +973,7 @@ impl RdmaFabric {
         if !data.is_empty() {
             self.nodes[node.0 as usize]
                 .nic_dirty
-                .push((addr, data.len() as u64));
+                .record(addr, data.len() as u64);
             self.tracer.emit(
                 now,
                 node.0,
@@ -1130,25 +1130,8 @@ impl RdmaFabric {
                 // A PCIe read forces write-back of everything the NIC has
                 // posted: this is the durability point of gFLUSH.
                 let op = self.requester_op(peer_node, peer_qp, seq);
-                let mut dirty: Vec<(u64, u64)> =
-                    std::mem::take(&mut self.nodes[node.0 as usize].nic_dirty);
-                let flushed_any = !dirty.is_empty();
-                let flushed_bytes: u64 = dirty.iter().map(|&(_, l)| l).sum();
-                let flushed_ranges = dirty.len() as u32;
-                for &(o, l) in &dirty {
-                    self.nodes[node.0 as usize]
-                        .mem
-                        .flush_range(o, l)
-                        .expect("dirty range in bounds");
-                }
-                // Hand the buffer back: gFLUSH fires once per chained op, so
-                // dropping it here would mean an alloc/free pair per flush.
-                dirty.clear();
-                let nd = &mut self.nodes[node.0 as usize].nic_dirty;
-                if nd.is_empty() {
-                    *nd = dirty;
-                }
-                if flushed_any {
+                let n = &mut self.nodes[node.0 as usize];
+                if let Some((flushed_bytes, flushed_ranges)) = n.nic_dirty.flush(&mut n.mem) {
                     self.stats.nic_flushes += 1;
                     self.tracer.emit(
                         now,
@@ -1156,7 +1139,7 @@ impl RdmaFabric {
                         op,
                         TraceKind::GFlush {
                             bytes: flushed_bytes,
-                            ranges: flushed_ranges,
+                            ranges: flushed_ranges as u32,
                         },
                     );
                     self.tracer.emit(

@@ -28,6 +28,7 @@
 #![warn(missing_docs)]
 
 pub mod ctx;
+mod dirty;
 pub mod fabric;
 pub mod payload;
 pub mod types;

@@ -38,9 +38,11 @@
 //! assert!(folded.contains("host;rnicsim.engine;simcore.queue.push"));
 //! ```
 //!
-//! When disabled (the default), entering a scope costs one relaxed atomic
-//! load — cheap enough to leave in the hot paths of the event queue, the
-//! NIC engine, and the tracer tap. The scope tables are thread-local:
+//! When disabled (the default), entering a scope inlines to one relaxed
+//! atomic load and a branch, and dropping its guard to one more branch;
+//! the frame push and pop are out-of-line `#[cold]` functions. That is
+//! cheap enough to leave in the hot paths of the event queue, the NIC
+//! engine, and the tracer's record path. The scope tables are thread-local:
 //! benchmarks are single-threaded, and per-thread tables mean concurrent
 //! tests cannot corrupt each other's profiles.
 
@@ -54,6 +56,10 @@ use std::time::Instant;
 
 static ENABLED: AtomicBool = AtomicBool::new(false);
 
+/// Serialises this crate's unit tests that toggle the process-wide flag.
+#[cfg(test)]
+pub(crate) static TEST_FLAG: std::sync::Mutex<()> = std::sync::Mutex::new(());
+
 /// Turns scope-timer collection on (process-wide flag, per-thread tables).
 pub fn enable() {
     ENABLED.store(true, Ordering::Relaxed);
@@ -65,6 +71,7 @@ pub fn disable() {
 }
 
 /// True when scope timers are collecting.
+#[inline]
 pub fn is_enabled() -> bool {
     ENABLED.load(Ordering::Relaxed)
 }
@@ -101,27 +108,34 @@ pub struct HostProf;
 
 impl HostProf {
     /// Opens a scope charging wall time to `name`, folded under whatever
-    /// scopes are already open on this thread. No-op (one atomic load)
-    /// when profiling is disabled.
+    /// scopes are already open on this thread. When profiling is disabled
+    /// this inlines to one relaxed atomic load and a branch; the frame push
+    /// is out of line.
     #[inline]
     pub fn scope(name: &'static str) -> ScopeGuard {
         if !is_enabled() {
             return ScopeGuard { active: false };
         }
-        STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let path = match s.last() {
-                Some(parent) => format!("{};{}", parent.path, name),
-                None => name.to_string(),
-            };
-            s.push(Frame {
-                path,
-                start: Instant::now(),
-                child_ns: 0,
-            });
-        });
+        push_frame(name);
         ScopeGuard { active: true }
     }
+}
+
+#[cold]
+#[inline(never)]
+fn push_frame(name: &'static str) {
+    STACK.with(|s| {
+        let mut s = s.borrow_mut();
+        let path = match s.last() {
+            Some(parent) => format!("{};{}", parent.path, name),
+            None => name.to_string(),
+        };
+        s.push(Frame {
+            path,
+            start: Instant::now(),
+            child_ns: 0,
+        });
+    });
 }
 
 /// Convenience free-function alias of [`HostProf::scope`].
@@ -137,27 +151,33 @@ pub struct ScopeGuard {
 }
 
 impl Drop for ScopeGuard {
+    #[inline]
     fn drop(&mut self) {
-        if !self.active {
-            return;
+        if self.active {
+            pop_frame();
         }
-        STACK.with(|s| {
-            let mut s = s.borrow_mut();
-            let Some(frame) = s.pop() else { return };
-            let elapsed = frame.start.elapsed().as_nanos() as u64;
-            let self_ns = elapsed.saturating_sub(frame.child_ns);
-            if let Some(parent) = s.last_mut() {
-                parent.child_ns += elapsed;
-            }
-            TABLE.with(|t| {
-                let mut t = t.borrow_mut();
-                let e = t.entry(frame.path).or_insert((0, 0, 0));
-                e.0 += 1;
-                e.1 += elapsed;
-                e.2 += self_ns;
-            });
-        });
     }
+}
+
+#[cold]
+#[inline(never)]
+fn pop_frame() {
+    STACK.with(|s| {
+        let mut s = s.borrow_mut();
+        let Some(frame) = s.pop() else { return };
+        let elapsed = frame.start.elapsed().as_nanos() as u64;
+        let self_ns = elapsed.saturating_sub(frame.child_ns);
+        if let Some(parent) = s.last_mut() {
+            parent.child_ns += elapsed;
+        }
+        TABLE.with(|t| {
+            let mut t = t.borrow_mut();
+            let e = t.entry(frame.path).or_insert((0, 0, 0));
+            e.0 += 1;
+            e.1 += elapsed;
+            e.2 += self_ns;
+        });
+    });
 }
 
 /// Clears this thread's scope table and open-scope stack.
@@ -480,6 +500,7 @@ mod tests {
 
     #[test]
     fn disabled_scopes_record_nothing() {
+        let _flag = TEST_FLAG.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         disable();
         {
@@ -492,6 +513,7 @@ mod tests {
 
     #[test]
     fn nested_scopes_fold_and_split_self_time() {
+        let _flag = TEST_FLAG.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         enable();
         {
@@ -520,6 +542,7 @@ mod tests {
 
     #[test]
     fn folded_stacks_have_host_root_and_sorted_paths() {
+        let _flag = TEST_FLAG.lock().unwrap_or_else(|e| e.into_inner());
         reset();
         enable();
         {

@@ -12,6 +12,7 @@
 //!   [`Outbox`] pattern for composing sub-components.
 //! * [`rng`] — a self-contained, cross-platform deterministic PRNG.
 //! * [`seqring`] — O(1) tables keyed by monotonically assigned ids.
+//! * [`spanset`] — point sets kept as sorted, merged spans.
 //! * [`dist`] — YCSB-style key-choice distributions (zipfian, latest, …).
 //! * [`stats`] — HDR-style histograms and latency summaries.
 //! * [`simtrace`] — causal trace events, span reconstruction, Chrome
@@ -75,6 +76,7 @@ pub mod seqring;
 pub mod simaudit;
 pub mod simprof;
 pub mod simtrace;
+pub mod spanset;
 pub mod stats;
 pub mod tailprof;
 pub mod time;

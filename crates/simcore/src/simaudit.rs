@@ -63,6 +63,7 @@ use crate::jsonw::JsonWriter;
 use crate::simtrace::{
     txn_phase_label, MetricsRegistry, TraceEvent, TraceKind, Tracer, NO_NODE, NO_OP,
 };
+use crate::spanset::SpanSet;
 use crate::stats::Histogram;
 use crate::time::{SimDuration, SimTime};
 use std::cell::RefCell;
@@ -386,13 +387,15 @@ impl Audit {
     }
 
     /// True if this handle runs auditors.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some()
     }
 
     /// Feeds one trace event to every auditor. No-op (one branch) when
-    /// disabled. Called by the [`Tracer`] tap; call directly only when
-    /// replaying a captured stream.
+    /// disabled. Called from the [`Tracer`]'s out-of-line record path,
+    /// which a tracer enters only when it has a buffer or an enabled audit
+    /// attached; call directly only when replaying a captured stream.
     #[inline]
     pub fn on_event(&self, ev: &TraceEvent) {
         if let Some(inner) = &self.inner {
@@ -547,6 +550,13 @@ impl Auditor for DurabilityAuditor {
 struct ChainState {
     issued: u64,
     acked: u64,
+    /// Every seq ever issued, as merged runs (one span on a healthy
+    /// chain), so the never-issued verdict stays exact for duplicate and
+    /// stray acks.
+    issued_seqs: SpanSet,
+    /// Issue times of in-flight ops. An entry is dropped at its op's ack:
+    /// the stream is time-ordered, so any later completion for that op
+    /// comes at or after the ack and cannot precede the issue.
     issue_at: BTreeMap<u64, SimTime>,
 }
 
@@ -585,11 +595,13 @@ impl Auditor for ChainOrderAuditor {
                     );
                 }
                 st.issued = st.issued.max(seq + 1);
+                st.issued_seqs.insert(seq, seq + 1);
                 st.issue_at.insert(seq, ev.at);
             }
             TraceKind::OpAck => {
                 let st = self.chains.entry((shard, epoch)).or_default();
-                if !st.issue_at.contains_key(&seq) {
+                st.issue_at.remove(&seq);
+                if !st.issued_seqs.contains(seq) {
                     ctx.report(
                         name,
                         ev.op,
@@ -1703,6 +1715,86 @@ mod tests {
         a.on_event(&ev(5, 0, 0, TraceKind::Cqe { cq: 0, ok: true }));
         a.on_event(&ev(10, 0, op_id_base(0, 0), TraceKind::OpIssue));
         assert_eq!(a.violation_count(), 0);
+    }
+
+    /// Duplicate, stray and gap acks on one chain. Pruning acked ops
+    /// from the issue-time table must not change any verdict: the JSON
+    /// was captured before the pruning existed.
+    #[test]
+    fn chain_order_verdicts_on_duplicate_and_stray_acks_are_pinned() {
+        let a = Audit::standard();
+        let b = op_id_base(0, 0);
+        a.on_event(&ev(0, 0, b, TraceKind::OpIssue));
+        a.on_event(&ev(10, 0, b + 1, TraceKind::OpIssue));
+        a.on_event(&ev(20, 0, b + 3, TraceKind::OpIssue));
+        a.on_event(&ev(30, 1, b, TraceKind::Cqe { cq: 0, ok: true }));
+        a.on_event(&ev(40, 0, b, TraceKind::OpAck));
+        a.on_event(&ev(50, 0, b, TraceKind::OpAck));
+        a.on_event(&ev(60, 1, b, TraceKind::Cqe { cq: 0, ok: true }));
+        a.on_event(&ev(70, 0, b + 2, TraceKind::OpAck));
+        a.on_event(&ev(80, 0, b + 1, TraceKind::OpAck));
+        a.on_event(&ev(90, 0, b + 3, TraceKind::OpAck));
+        a.on_event(&ev(100, 0, b + 9, TraceKind::OpAck));
+        a.on_event(&ev(110, 0, b + 3, TraceKind::OpAck));
+        let expected = concat!(
+            r#"{"enabled":true,"violations":8,"by_auditor":{"durability":0,"chain_order":8,"#,
+            r#""flow_control":0,"migration":0,"txn":0},"records":["#,
+            r#"{"auditor":"chain_order","op":3,"at_ns":20,"detail":"issue out of order on shard 0 epoch 0: expected seq 2, got 3","excerpt":[{"at_ns":20,"node":0,"op":3,"kind":"op_issue"}]},"#,
+            r#"{"auditor":"chain_order","op":0,"at_ns":50,"detail":"ack out of order on shard 0 epoch 0: expected seq 1, got 0","excerpt":[{"at_ns":0,"node":0,"op":0,"kind":"op_issue"},{"at_ns":30,"node":1,"op":0,"kind":"cqe"},{"at_ns":40,"node":0,"op":0,"kind":"op_ack"},{"at_ns":50,"node":0,"op":0,"kind":"op_ack"}]},"#,
+            r#"{"auditor":"chain_order","op":2,"at_ns":70,"detail":"acked op was never issued on shard 0 epoch 0","excerpt":[{"at_ns":70,"node":0,"op":2,"kind":"op_ack"}]},"#,
+            r#"{"auditor":"chain_order","op":2,"at_ns":70,"detail":"ack out of order on shard 0 epoch 0: expected seq 1, got 2","excerpt":[{"at_ns":70,"node":0,"op":2,"kind":"op_ack"}]},"#,
+            r#"{"auditor":"chain_order","op":1,"at_ns":80,"detail":"ack out of order on shard 0 epoch 0: expected seq 3, got 1","excerpt":[{"at_ns":10,"node":0,"op":1,"kind":"op_issue"},{"at_ns":80,"node":0,"op":1,"kind":"op_ack"}]},"#,
+            r#"{"auditor":"chain_order","op":9,"at_ns":100,"detail":"acked op was never issued on shard 0 epoch 0","excerpt":[{"at_ns":100,"node":0,"op":9,"kind":"op_ack"}]},"#,
+            r#"{"auditor":"chain_order","op":9,"at_ns":100,"detail":"ack out of order on shard 0 epoch 0: expected seq 4, got 9","excerpt":[{"at_ns":100,"node":0,"op":9,"kind":"op_ack"}]},"#,
+            r#"{"auditor":"chain_order","op":3,"at_ns":110,"detail":"ack out of order on shard 0 epoch 0: expected seq 10, got 3","excerpt":[{"at_ns":20,"node":0,"op":3,"kind":"op_issue"},{"at_ns":90,"node":0,"op":3,"kind":"op_ack"},{"at_ns":110,"node":0,"op":3,"kind":"op_ack"}]}]}"#,
+        );
+        assert_eq!(a.to_json(), expected);
+    }
+
+    /// Acks on a chain that has seen no issue at all, then a late issue
+    /// and its completion: pinned like the duplicate-ack case above.
+    #[test]
+    fn chain_order_verdicts_on_never_issued_acks_are_pinned() {
+        let a = Audit::standard();
+        let b = op_id_base(2, 1);
+        a.on_event(&ev(5, 0, b, TraceKind::OpAck));
+        a.on_event(&ev(6, 0, b + 1, TraceKind::OpAck));
+        a.on_event(&ev(7, 0, b, TraceKind::OpIssue));
+        a.on_event(&ev(8, 2, b, TraceKind::Cqe { cq: 1, ok: true }));
+        let expected = concat!(
+            r#"{"enabled":true,"violations":2,"by_auditor":{"durability":0,"chain_order":2,"#,
+            r#""flow_control":0,"migration":0,"txn":0},"records":["#,
+            r#"{"auditor":"chain_order","op":2199024304128,"at_ns":5,"detail":"acked op was never issued on shard 2 epoch 1","excerpt":[{"at_ns":5,"node":0,"op":2199024304128,"kind":"op_ack"}]},"#,
+            r#"{"auditor":"chain_order","op":2199024304129,"at_ns":6,"detail":"acked op was never issued on shard 2 epoch 1","excerpt":[{"at_ns":6,"node":0,"op":2199024304129,"kind":"op_ack"}]}]}"#,
+        );
+        assert_eq!(a.to_json(), expected);
+    }
+
+    /// A long in-order run keeps the chain auditor's state at the ops in
+    /// flight plus one issued span, not one entry per op.
+    #[test]
+    fn chain_order_state_is_bounded_by_ops_in_flight() {
+        let mut auditor = ChainOrderAuditor::default();
+        let history = VecDeque::new();
+        let (mut violations, mut by_auditor, mut total) = (Vec::new(), BTreeMap::new(), 0);
+        let mut ctx = AuditCtx {
+            history: &history,
+            violations: &mut violations,
+            by_auditor: &mut by_auditor,
+            total: &mut total,
+        };
+        let base = op_id_base(0, 0);
+        for seq in 0..10_000u64 {
+            auditor.on_event(&mut ctx, &ev(10 * seq, 0, base + seq, TraceKind::OpIssue));
+            if seq >= 4 {
+                let done = base + seq - 4;
+                auditor.on_event(&mut ctx, &ev(10 * seq + 5, 0, done, TraceKind::OpAck));
+            }
+        }
+        let st = &auditor.chains[&(0, 0)];
+        assert_eq!(st.issue_at.len(), 4);
+        assert_eq!(st.issued_seqs.spans(), &[(0, 10_000)]);
+        assert_eq!(total, 0);
     }
 
     /// Mutation: issue window + 1 ops with no acks. The flow-control

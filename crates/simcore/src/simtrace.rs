@@ -9,9 +9,11 @@
 //! [`chrome_trace_json`] exports the whole run as Chrome trace-event JSON
 //! that opens directly in Perfetto or `chrome://tracing`.
 //!
-//! Tracing is **disabled by default**: a disabled [`Tracer`] is a `None`
-//! handle and [`Tracer::emit`] is a single branch, so the instrumented hot
-//! paths cost nothing measurable when tracing is off.
+//! Tracing is **disabled by default**: a disabled [`Tracer`] holds no
+//! buffer and no audit tap, and [`Tracer::emit`] inlines to a test of
+//! those two handles; building and recording the event happen out of
+//! line. The instrumented hot paths cost one inline branch per tap when
+//! tracing is off.
 //!
 //! The second half of the module is [`MetricsRegistry`]: a named
 //! counter/gauge/histogram store that the per-crate stats structs
@@ -447,11 +449,12 @@ impl TraceBuffer {
 
 /// Cheap, cloneable handle to a shared trace buffer.
 ///
-/// A default-constructed (or [`Tracer::disabled`]) handle carries no buffer:
-/// [`Tracer::emit`] is then a single `is_some` branch, which is the
-/// always-compiled-in fast path. Clones of an enabled handle share one
-/// buffer, so a tracer can be handed to the NIC model, the network, the
-/// schedulers and the client while the test harness keeps a reading clone.
+/// A default-constructed (or [`Tracer::disabled`]) handle carries no buffer
+/// and no audit tap: [`Tracer::emit`] then inlines to the
+/// [`Tracer::is_enabled`] check, which is the always-compiled-in fast path.
+/// Clones of an enabled handle share one buffer, so a tracer can be handed
+/// to the NIC model, the network, the schedulers and the client while the
+/// test harness keeps a reading clone.
 ///
 /// A tracer can additionally carry an [`Audit`](crate::simaudit::Audit)
 /// tap ([`Tracer::with_audit`]): every emitted event is then also fed to
@@ -513,15 +516,25 @@ impl Tracer {
     }
 
     /// True if this handle records events or feeds an audit tap.
+    #[inline]
     pub fn is_enabled(&self) -> bool {
         self.inner.is_some() || self.audit.is_enabled()
     }
 
-    /// Records one event. No-op (one branch) when disabled.
+    /// Records one event and feeds it to the audit tap. When neither is
+    /// attached this inlines to the [`Tracer::is_enabled`] check alone: the
+    /// event is built, buffered and audited out of line, under the
+    /// `simtrace.tap` host-profiling scope.
     #[inline]
     pub fn emit(&self, at: SimTime, node: u32, op: u64, kind: TraceKind) {
+        if self.is_enabled() {
+            self.record(TraceEvent { at, node, op, kind });
+        }
+    }
+
+    #[inline(never)]
+    fn record(&self, ev: TraceEvent) {
         let _t = crate::hostprof::scope("simtrace.tap");
-        let ev = TraceEvent { at, node, op, kind };
         if let Some(inner) = &self.inner {
             inner.borrow_mut().push(ev);
         }
@@ -1006,6 +1019,48 @@ mod tests {
             op,
             kind,
         }
+    }
+
+    /// An off tap is one inline branch: a disabled tracer never enters the
+    /// out-of-line record path, so a profile shows no tap scope for it. A
+    /// tracer carrying only an audit still records and audits each event.
+    #[test]
+    fn only_tracers_with_a_listener_enter_the_tap() {
+        use crate::hostprof;
+        use crate::simaudit::{op_id_base, Audit};
+        let _flag = hostprof::TEST_FLAG
+            .lock()
+            .unwrap_or_else(|e| e.into_inner());
+        hostprof::reset();
+        hostprof::enable();
+        let off = Tracer::disabled();
+        for i in 0..10 {
+            off.emit(SimTime::from_nanos(i), 0, i, TraceKind::OpIssue);
+        }
+        let after_off = hostprof::scopes();
+        let audit = Audit::standard();
+        let audit_only = Tracer::disabled().with_audit(audit.clone());
+        // Injected violation: seq 1 issued before seq 0.
+        let op = op_id_base(0, 0) + 1;
+        audit_only.emit(SimTime::from_nanos(20), 0, op, TraceKind::OpIssue);
+        hostprof::disable();
+        let after_on = hostprof::scopes();
+        hostprof::reset();
+
+        assert!(
+            after_off.iter().all(|s| s.path != "simtrace.tap"),
+            "disabled tracer entered the tap: {after_off:?}"
+        );
+        let tap = after_on
+            .iter()
+            .find(|s| s.path == "simtrace.tap")
+            .expect("audit-only tracer records under the tap scope");
+        assert_eq!(tap.calls, 1);
+        assert!(audit_only.is_empty(), "no ring buffer is attached");
+        let vs = audit.violations();
+        assert_eq!(vs.len(), 1);
+        assert_eq!(vs[0].op, op);
+        assert!(vs[0].detail.contains("issue out of order"));
     }
 
     #[test]

@@ -55,7 +55,6 @@ pub struct Cluster {
     /// a fresh allocation instead of corruption.
     nic_scratch: Outbox<NicEffect>,
     cpu_scratch: Outbox<CpuEffect>,
-    route_scratch: Vec<(SimDuration, NicEffect)>,
     staged_scratch: Vec<StagedAction>,
 }
 
@@ -93,7 +92,6 @@ impl Cluster {
             pending_nic_boot: Vec::new(),
             nic_scratch: Outbox::new(),
             cpu_scratch: Outbox::new(),
-            route_scratch: Vec::new(),
             staged_scratch: Vec::new(),
         }
     }
@@ -246,10 +244,7 @@ impl Cluster {
         out: &mut Outbox<NicEffect>,
         q: &mut EventQueue<ClusterEvent>,
     ) {
-        // Draining may enqueue CPU tasks which emit further effects; loop.
-        let mut nic_effects = std::mem::take(&mut self.route_scratch);
-        nic_effects.extend(out.drain());
-        while let Some((delay, eff)) = nic_effects.pop() {
+        for (delay, eff) in out.drain().rev() {
             match eff {
                 NicEffect::Internal(ev) => q.push_after(delay, ClusterEvent::Nic(ev)),
                 NicEffect::HostNotify { node, cq } => {
@@ -260,7 +255,6 @@ impl Cluster {
                 }
             }
         }
-        self.route_scratch = nic_effects;
     }
 
     fn route_cpu(
