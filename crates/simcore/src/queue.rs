@@ -1,19 +1,25 @@
-//! The future event list: a hierarchical timer wheel ordered by virtual time.
+//! The future event list: a sorted near-window run over a coarse timer
+//! wheel, ordered by virtual time.
 //!
 //! Ties are broken by insertion order so that runs are fully deterministic:
 //! two events scheduled for the same instant fire in the order they were
 //! pushed.
 //!
-//! The implementation is the classic discrete-event-simulation fastpath: a
-//! hierarchical timer wheel ([`WHEEL_LEVELS`] levels of [`WHEEL_SLOTS`]
-//! slots, [`WHEEL_BITS`] bits per level) with a calendar-queue overflow
-//! list for events beyond the wheel horizon. Near-future events — the
-//! overwhelming majority in a NIC/network simulation, where hops are
-//! nanoseconds to microseconds ahead — insert and pop in O(1) instead of
-//! the `BinaryHeap`'s O(log n). The pop order is *exactly* the `(time,
-//! seq)` total order the original heap produced (pinned by the property
-//! tests below against a retained heap reference implementation), so every
-//! same-seed timeline stays byte-identical across the swap.
+//! Each event is put in order once. Virtual time is cut into windows of
+//! `2^WINDOW_BITS` ns (4.1 µs). The pending events of the open window —
+//! the overwhelming majority in a NIC/network simulation, where hops are
+//! nanoseconds to microseconds ahead — sit as small `(at, seq, slot)` keys
+//! in a `Vec` sorted in descending order, so pop is `Vec::pop` and push is
+//! an insert at the `partition_point`. Later events go to a hierarchical
+//! timer wheel keyed by window (`WHEEL_LEVELS` levels of `WHEEL_SLOTS`
+//! slots, with per-level occupancy bitmaps) or, past its ~73-minute
+//! horizon, to an overflow list; a window's keys are sorted into the run
+//! only when the window opens. Event bodies wait in a slab with a free
+//! list, so each body moves once in and once out. The pop order is
+//! *exactly* the `(time, seq)` total order the original `BinaryHeap`
+//! produced (pinned by the property tests below against a retained heap
+//! reference implementation), so every same-seed timeline stays
+//! byte-identical across the swap.
 //!
 //! ```
 //! use simcore::queue::EventQueue;
@@ -30,8 +36,8 @@
 //! ```
 
 use crate::time::{SimDuration, SimTime};
+#[cfg(test)]
 use std::cmp::Ordering;
-use std::collections::VecDeque;
 
 /// Cumulative event-flow counters of an [`EventQueue`]: the denominator of
 /// `host.events_per_sec` and direct sizing evidence for the calendar-queue
@@ -49,37 +55,60 @@ pub struct QueueStats {
     pub max_depth: usize,
 }
 
-/// Bits of virtual time consumed per wheel level (64 slots each).
-pub const WHEEL_BITS: u32 = 6;
+/// Bits of virtual time per window (4,096 ns). 10 bits measured slower on
+/// simbench's workloads; see DESIGN.md "Fastpath" for the 14-bit check.
+const WINDOW_BITS: u32 = 12;
+/// Bits of window index consumed per wheel level (64 slots each).
+const WHEEL_BITS: u32 = 6;
 /// Slots per wheel level.
-pub const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
-/// Number of wheel levels; events further than `2^(BITS*LEVELS)` ns ahead
-/// of the wheel clock (~73 simulated minutes) go to the overflow list.
-pub const WHEEL_LEVELS: usize = 7;
+const WHEEL_SLOTS: usize = 1 << WHEEL_BITS;
+/// Number of wheel levels; events whose window differs from the open one
+/// above bit `BITS*LEVELS` (more than ~2^42 ns, ~73 simulated minutes,
+/// ahead) go to the overflow list.
+const WHEEL_LEVELS: usize = 5;
 
 const SLOT_MASK: u64 = (WHEEL_SLOTS as u64) - 1;
 
+#[inline]
+fn window(at: SimTime) -> u64 {
+    at.as_nanos() >> WINDOW_BITS
+}
+
+/// The ordering key of a pending event; the body waits in the slab at
+/// `slot`.
+#[derive(Clone, Copy)]
+struct Key {
+    at: SimTime,
+    seq: u64,
+    slot: u32,
+}
+
+#[cfg(test)]
 struct Entry<E> {
     at: SimTime,
     seq: u64,
     event: E,
 }
 
+#[cfg(test)]
 impl<E> PartialEq for Entry<E> {
     fn eq(&self, other: &Self) -> bool {
         self.at == other.at && self.seq == other.seq
     }
 }
+#[cfg(test)]
 impl<E> Eq for Entry<E> {}
+#[cfg(test)]
 impl<E> PartialOrd for Entry<E> {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
+#[cfg(test)]
 impl<E> Ord for Entry<E> {
     // Reversed: BinaryHeap is a max-heap, we want the earliest (time, seq) out
     // first. Retained for the heap reference implementation the property
-    // tests compare the wheel against.
+    // tests compare the queue against.
     fn cmp(&self, other: &Self) -> Ordering {
         other
             .at
@@ -98,32 +127,34 @@ impl<E> Ord for Entry<E> {
 ///
 /// Pops come out in ascending `(time, seq)` order where `seq` is the
 /// per-queue insertion counter — the exact order the seed-era `BinaryHeap`
-/// produced. Internally the wheel may visit events out of seq order while
-/// cascading a higher-level slot down, so the level-0 drain sorts each
-/// same-instant batch by `seq` before it becomes poppable; nothing about
-/// wheel geometry is observable from the outside.
+/// produced. Internally the wheel may visit a window's keys out of seq
+/// order while cascading a higher-level slot down, so a window's keys are
+/// sorted by `(time, seq)` when it opens; nothing about window or wheel
+/// geometry is observable from the outside.
 pub struct EventQueue<E> {
-    /// `WHEEL_LEVELS * WHEEL_SLOTS` buckets, flattened level-major. Level
-    /// `l` buckets events whose time differs from the wheel clock first in
+    /// Keys of the pending events in window `cur`, sorted descending by
+    /// `(at, seq)`: the next event to fire is the last.
+    near: Vec<Key>,
+    /// `WHEEL_LEVELS * WHEEL_SLOTS` buckets of keys, flattened level-major.
+    /// Level `l` buckets keys whose window differs from `cur` first in
     /// bits `[l*BITS, (l+1)*BITS)`.
-    levels: Box<[Vec<Entry<E>>]>,
+    levels: Box<[Vec<Key>]>,
     /// Per-level occupancy bitmap: bit `s` set iff `levels[l*SLOTS + s]`
     /// is non-empty.
     occ: [u64; WHEEL_LEVELS],
-    /// Events beyond the wheel horizon (calendar-queue overflow). Promoted
-    /// back into the wheel when it drains.
-    overflow: Vec<Entry<E>>,
-    /// The drained current-instant batch, in final pop (seq) order. All
-    /// entries share one timestamp; same-instant `push_now` appends here.
-    ready: VecDeque<Entry<E>>,
+    /// Keys beyond the wheel horizon (calendar-queue overflow), re-bucketed
+    /// when the wheel drains.
+    overflow: Vec<Key>,
     /// Reusable drain buffer so steady-state cascades allocate nothing.
-    scratch: Vec<Entry<E>>,
-    /// Wheel placement clock in ns. Invariant: `cur <= now <=` every
-    /// pending timestamp; all bucketed events are placed relative to it.
+    scratch: Vec<Key>,
+    /// Event bodies, indexed by `Key::slot`; `free` lists the vacant slots.
+    bodies: Vec<Option<E>>,
+    free: Vec<u32>,
+    /// The open window. Invariant: `now` lies in it, `near` holds exactly
+    /// the pending keys in it and every other pending key is later.
     cur: u64,
     seq: u64,
     now: SimTime,
-    len: usize,
     stats: QueueStats,
 }
 
@@ -144,15 +175,16 @@ impl<E> EventQueue<E> {
         let mut levels = Vec::with_capacity(WHEEL_LEVELS * WHEEL_SLOTS);
         levels.resize_with(WHEEL_LEVELS * WHEEL_SLOTS, || Vec::with_capacity(4));
         EventQueue {
+            near: Vec::new(),
             levels: levels.into_boxed_slice(),
             occ: [0; WHEEL_LEVELS],
             overflow: Vec::new(),
-            ready: VecDeque::new(),
             scratch: Vec::new(),
+            bodies: Vec::new(),
+            free: Vec::new(),
             cur: 0,
             seq: 0,
             now: SimTime::ZERO,
-            len: 0,
             stats: QueueStats::default(),
         }
     }
@@ -169,39 +201,33 @@ impl<E> EventQueue<E> {
 
     /// Number of pending events.
     pub fn len(&self) -> usize {
-        self.len
+        self.bodies.len() - self.free.len()
     }
 
     /// True if no events are pending.
     pub fn is_empty(&self) -> bool {
-        self.len == 0
+        self.len() == 0
     }
 
-    /// The wheel level an event at `t` ns belongs to, given the placement
-    /// clock: the level covering the highest bit in which `t` differs.
+    /// Files a key into the open window's run (unsorted: the caller sorts)
+    /// or the wheel slot or overflow list of its later window. Requires
+    /// the key's window `>= cur`.
     #[inline]
-    fn level_of(&self, t: u64) -> usize {
-        let diff = t ^ self.cur;
-        if diff == 0 {
-            0
-        } else {
-            ((63 - diff.leading_zeros()) / WHEEL_BITS) as usize
-        }
-    }
-
-    /// Buckets an entry (already counted in `len`/`stats`) into the wheel
-    /// or the overflow list. Requires `entry.at >= cur`.
-    #[inline]
-    fn bucket(&mut self, entry: Entry<E>) {
-        let t = entry.at.as_nanos();
-        debug_assert!(t >= self.cur);
-        let level = self.level_of(t);
-        if level >= WHEEL_LEVELS {
-            self.overflow.push(entry);
+    fn place(&mut self, key: Key) {
+        let w = window(key.at);
+        debug_assert!(w >= self.cur);
+        if w == self.cur {
+            self.near.push(key);
             return;
         }
-        let slot = ((t >> (WHEEL_BITS * level as u32)) & SLOT_MASK) as usize;
-        self.levels[level * WHEEL_SLOTS + slot].push(entry);
+        // The level covering the highest bit in which `w` differs.
+        let level = ((63 - (w ^ self.cur).leading_zeros()) / WHEEL_BITS) as usize;
+        if level >= WHEEL_LEVELS {
+            self.overflow.push(key);
+            return;
+        }
+        let slot = ((w >> (WHEEL_BITS * level as u32)) & SLOT_MASK) as usize;
+        self.levels[level * WHEEL_SLOTS + slot].push(key);
         self.occ[level] |= 1 << slot;
     }
 
@@ -219,23 +245,27 @@ impl<E> EventQueue<E> {
         let seq = self.seq;
         self.seq += 1;
         let _t = crate::hostprof::scope("simcore.queue.push");
-        let entry = Entry { at, seq, event };
-        // Same-instant events behind an already-drained batch append to it
-        // directly: `seq` is monotonic, so FIFO order is preserved.
-        if let Some(front) = self.ready.front() {
-            if front.at == at {
-                self.ready.push_back(entry);
-            } else {
-                self.bucket(entry);
+        let slot = match self.free.pop() {
+            Some(slot) => {
+                self.bodies[slot as usize] = Some(event);
+                slot
             }
+            None => {
+                self.bodies.push(Some(event));
+                (self.bodies.len() - 1) as u32
+            }
+        };
+        let key = Key { at, seq, slot };
+        if window(at) == self.cur {
+            // `seq` is the largest pending, so the key sorts after every
+            // later event and before every earlier or same-instant one.
+            let i = self.near.partition_point(|k| k.at > at);
+            self.near.insert(i, key);
         } else {
-            self.bucket(entry);
+            self.place(key);
         }
         self.stats.pushed += 1;
-        self.len += 1;
-        if self.len > self.stats.max_depth {
-            self.stats.max_depth = self.len;
-        }
+        self.stats.max_depth = self.stats.max_depth.max(self.len());
     }
 
     /// Schedules `event` to fire `delay` after the current virtual time.
@@ -249,123 +279,87 @@ impl<E> EventQueue<E> {
         self.push(self.now, event);
     }
 
-    /// Drains the earliest pending instant into `ready`, cascading
-    /// higher-level slots down and promoting overflow as needed. Leaves
-    /// `ready` empty only if the queue is empty.
+    /// Opens the earliest occupied later window: advances `cur` to it,
+    /// cascading higher-level slots down and re-bucketing overflow as
+    /// needed, and sorts its keys into `near`. Leaves `near` empty only if
+    /// the queue is empty.
     fn refill(&mut self) {
-        loop {
-            let Some(level) = self.occ.iter().position(|&b| b != 0) else {
-                if self.overflow.is_empty() {
-                    return;
-                }
-                self.promote_overflow();
-                continue;
-            };
-            // Within a level, slot index order is time order (all bucketed
-            // events share the bits above the level with `cur`), so the
-            // lowest occupied slot of the lowest occupied level holds the
-            // earliest pending instant(s).
-            let slot = self.occ[level].trailing_zeros() as usize;
-            self.occ[level] &= !(1 << slot);
-            debug_assert!(self.scratch.is_empty());
-            std::mem::swap(
-                &mut self.levels[level * WHEEL_SLOTS + slot],
-                &mut self.scratch,
-            );
-            if level == 0 {
-                // A level-0 slot holds exactly one timestamp. Events may
-                // have arrived via different cascade paths, so restore seq
-                // (push) order before exposing the batch.
-                let t = (self.cur >> WHEEL_BITS << WHEEL_BITS) | slot as u64;
-                debug_assert!(self.scratch.iter().all(|e| e.at.as_nanos() == t));
-                self.cur = t;
-                self.scratch.sort_unstable_by_key(|e| e.seq);
-                self.ready.extend(self.scratch.drain(..));
+        debug_assert!(self.near.is_empty() && self.scratch.is_empty());
+        while self.near.is_empty() {
+            if let Some(level) = self.occ.iter().position(|&b| b != 0) {
+                // Within a level, slot index order is window order (all
+                // bucketed keys share the bits above the level with `cur`),
+                // so the lowest occupied slot of the lowest occupied level
+                // holds the earliest pending window. Advance `cur` to the
+                // slot's base window; a level-0 slot is exactly one window.
+                let slot = self.occ[level].trailing_zeros() as usize;
+                self.occ[level] &= !(1 << slot);
+                let width = WHEEL_BITS * level as u32;
+                self.cur =
+                    (self.cur & !((1u64 << (width + WHEEL_BITS)) - 1)) | ((slot as u64) << width);
+                std::mem::swap(
+                    &mut self.levels[level * WHEEL_SLOTS + slot],
+                    &mut self.scratch,
+                );
+            } else if let Some(w) = self.overflow.iter().map(|k| window(k.at)).min() {
+                // Re-anchor the wheel at the earliest overflow window.
+                self.cur = w;
+                std::mem::swap(&mut self.overflow, &mut self.scratch);
+            } else {
                 return;
             }
-            // Cascade: advance the placement clock to the slot's base time
-            // and re-bucket its events into the levels below.
-            let width = WHEEL_BITS * level as u32;
-            let base =
-                (self.cur & !((1u64 << (width + WHEEL_BITS)) - 1)) | ((slot as u64) << width);
-            debug_assert!(base >= self.cur);
-            self.cur = base;
-            while let Some(e) = self.scratch.pop() {
-                self.bucket(e);
+            while let Some(key) = self.scratch.pop() {
+                self.place(key);
             }
         }
-    }
-
-    /// Re-anchors the wheel at the earliest overflow timestamp and pulls
-    /// every overflow event now within the horizon back into the wheel.
-    fn promote_overflow(&mut self) {
-        let min_t = self
-            .overflow
-            .iter()
-            .map(|e| e.at.as_nanos())
-            .min()
-            .expect("promote_overflow on empty overflow");
-        debug_assert!(min_t >= self.cur);
-        self.cur = min_t;
-        debug_assert!(self.scratch.is_empty());
-        std::mem::swap(&mut self.overflow, &mut self.scratch);
-        // Re-bucket order is free to differ from push order: the level-0
-        // drain sorts every same-instant batch by seq before it pops.
-        while let Some(e) = self.scratch.pop() {
-            let t = e.at.as_nanos();
-            if self.level_of(t) >= WHEEL_LEVELS {
-                self.overflow.push(e);
-            } else {
-                self.bucket(e);
-            }
-        }
+        self.near
+            .sort_unstable_by_key(|k| std::cmp::Reverse((k.at, k.seq)));
     }
 
     /// Removes and returns the earliest event, advancing the clock to its
     /// timestamp.
     pub fn pop(&mut self) -> Option<(SimTime, E)> {
         let _t = crate::hostprof::scope("simcore.queue.pop");
-        if self.ready.is_empty() {
+        if self.near.is_empty() {
             self.refill();
         }
-        let entry = self.ready.pop_front()?;
-        debug_assert!(entry.at >= self.now);
-        self.now = entry.at;
-        self.len -= 1;
+        let key = self.near.pop()?;
+        debug_assert!(key.at >= self.now);
+        self.now = key.at;
         self.stats.popped += 1;
-        Some((entry.at, entry.event))
+        let event = self.bodies[key.slot as usize]
+            .take()
+            .expect("queued key without a body");
+        self.free.push(key.slot);
+        Some((key.at, event))
     }
 
     /// The timestamp of the next event without removing it.
     pub fn peek_time(&self) -> Option<SimTime> {
-        if let Some(front) = self.ready.front() {
-            return Some(front.at);
+        if let Some(key) = self.near.last() {
+            return Some(key.at);
         }
-        if let Some(level) = self.occ.iter().position(|&b| b != 0) {
-            let slot = self.occ[level].trailing_zeros() as usize;
-            if level == 0 {
-                let t = (self.cur >> WHEEL_BITS << WHEEL_BITS) | slot as u64;
-                return Some(SimTime::from_nanos(t));
+        // A wheel slot or the overflow list buckets a span of timestamps:
+        // the earliest pending instant is the minimum of the first one.
+        let keys = match self.occ.iter().position(|&b| b != 0) {
+            Some(level) => {
+                &self.levels[level * WHEEL_SLOTS + self.occ[level].trailing_zeros() as usize]
             }
-            // Higher-level slots bucket a span of timestamps: the earliest
-            // pending instant is the slot's minimum.
-            return self.levels[level * WHEEL_SLOTS + slot]
-                .iter()
-                .map(|e| e.at)
-                .min();
-        }
-        self.overflow.iter().map(|e| e.at).min()
+            None => &self.overflow,
+        };
+        keys.iter().map(|k| k.at).min()
     }
 
     /// Discards all pending events without advancing the clock.
     pub fn clear(&mut self) {
+        self.near.clear();
         for slot in self.levels.iter_mut() {
             slot.clear();
         }
         self.occ = [0; WHEEL_LEVELS];
         self.overflow.clear();
-        self.ready.clear();
-        self.len = 0;
+        self.bodies.clear();
+        self.free.clear();
     }
 }
 
@@ -373,7 +367,7 @@ impl<E> std::fmt::Debug for EventQueue<E> {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("EventQueue")
             .field("now", &self.now)
-            .field("pending", &self.len)
+            .field("pending", &self.len())
             .finish()
     }
 }
@@ -647,6 +641,21 @@ mod wheel_vs_heap {
     /// Drives the wheel and the heap through an identical randomized
     /// push/pop schedule and asserts lock-step equivalence.
     fn lockstep(seed: u64, steps: usize, max_delay_ns: u64, tie_bias: bool) {
+        lockstep_with(seed, steps, |rng, now| {
+            let delay = if tie_bias && rng.gen_bool(0.5) {
+                // Heavy same-instant load: many events collide on the
+                // few buckets, exercising the seq tie-break.
+                SimDuration::from_nanos(rng.gen_range(0..4) * 100)
+            } else {
+                SimDuration::from_nanos(rng.gen_range(0..max_delay_ns))
+            };
+            now + delay
+        });
+    }
+
+    /// [`lockstep`] with the push timestamps drawn by `at` from the rng
+    /// and the current virtual time.
+    fn lockstep_with(seed: u64, steps: usize, mut at: impl FnMut(&mut SimRng, SimTime) -> SimTime) {
         let mut rng = SimRng::new(seed);
         let mut wheel: EventQueue<u64> = EventQueue::new();
         let mut heap: HeapQueue<u64> = HeapQueue::new();
@@ -658,15 +667,9 @@ mod wheel_vs_heap {
                 assert_eq!(w, h, "pop divergence (seed {seed:#x})");
                 assert_eq!(wheel.now(), heap.now());
             } else {
-                let delay = if tie_bias && rng.gen_bool(0.5) {
-                    // Heavy same-instant load: many events collide on the
-                    // few buckets, exercising the seq tie-break.
-                    SimDuration::from_nanos(rng.gen_range(0..4) * 100)
-                } else {
-                    SimDuration::from_nanos(rng.gen_range(0..max_delay_ns))
-                };
-                wheel.push_after(delay, id);
-                heap.push_after(delay, id);
+                let t = at(&mut rng, wheel.now());
+                wheel.push(t, id);
+                heap.push(t, id);
                 id += 1;
             }
             assert_eq!(wheel.len(), heap.len());
@@ -763,5 +766,81 @@ mod wheel_vs_heap {
         }
         assert_eq!(wheel.pop(), None);
         assert_eq!(heap.pop(), None);
+    }
+
+    const WINDOW_NS: u64 = 1 << WINDOW_BITS;
+
+    #[test]
+    fn wheel_matches_heap_straddling_window_boundaries() {
+        // Timestamps a few ns either side of the boundary `k` windows
+        // ahead, for `k` at the run/wheel seam (0, 1, 2) and the wheel's
+        // level-0/level-1 seam (63, 64, 65).
+        for case in 0..48u64 {
+            lockstep_with(0x57AD0 + case, 600, |rng, now| {
+                let k = [0, 1, 2, 63, 64, 65][rng.gen_index(6)];
+                let edge = (now.as_nanos() / WINDOW_NS + k) * WINDOW_NS;
+                let t = (edge + rng.gen_range(0..16)).saturating_sub(8);
+                SimTime::from_nanos(t.max(now.as_nanos()))
+            });
+        }
+    }
+
+    #[test]
+    fn wheel_matches_heap_with_sub_us_traffic_and_ms_timers() {
+        // naive_colocated's shape: sub-µs hops interleaved with tenant
+        // timers 1–3 ms out on a 1 ms grid. Timers due on one instant are
+        // pushed from different distances, so they cascade down the wheel
+        // by different paths before the run takes them.
+        for case in 0..24u64 {
+            lockstep_with(0x4A1E0 + case, 2_000, |rng, now| {
+                if rng.gen_bool(0.2) {
+                    let ms = now.as_nanos() / 1_000_000 + 1 + rng.gen_range(0..3);
+                    SimTime::from_nanos(ms * 1_000_000)
+                } else {
+                    now + SimDuration::from_nanos(rng.gen_range(0..1_000))
+                }
+            });
+        }
+    }
+
+    #[test]
+    fn wheel_matches_heap_push_now_after_window_refill() {
+        // Same-instant clusters a few windows apart; whenever a pop opens
+        // a new window, `push_now` must join the fresh run behind that
+        // instant's other events.
+        for case in 0..32u64 {
+            let seed = 0x9E0F1 + case;
+            let mut rng = SimRng::new(seed);
+            let mut wheel: EventQueue<u64> = EventQueue::new();
+            let mut heap: HeapQueue<u64> = HeapQueue::new();
+            let mut id = 0u64;
+            for _ in 0..64 {
+                let t = SimTime::from_nanos(rng.gen_range(1..16) * WINDOW_NS + rng.gen_range(0..4));
+                wheel.push(t, id);
+                heap.push(t, id);
+                id += 1;
+            }
+            let mut refills = 0;
+            loop {
+                let before = wheel.now().as_nanos() / WINDOW_NS;
+                let w = wheel.pop();
+                assert_eq!(w, heap.pop(), "pop divergence (seed {seed:#x})");
+                if w.is_none() {
+                    break;
+                }
+                if wheel.now().as_nanos() / WINDOW_NS != before {
+                    refills += 1;
+                    for _ in 0..1 + rng.gen_index(3) {
+                        wheel.push_now(id);
+                        heap.push(heap.now(), id);
+                        id += 1;
+                    }
+                }
+                assert_eq!(wheel.len(), heap.len());
+                assert_eq!(wheel.peek_time(), heap.peek_time());
+                assert_eq!(wheel.stats(), heap.stats());
+            }
+            assert!(refills > 1, "no window was opened (seed {seed:#x})");
+        }
     }
 }
